@@ -11,6 +11,7 @@ problems, with closed form sum_r G(lam)^r Q g_r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +35,23 @@ class GreenMatrix:
 
     ``g`` is interior x interior, ``f`` interior x boundary.  The LU
     factorisation of (lam I - P_int) is kept so that powers of G are
-    applied by repeated back-substitution instead of explicit inverses.
+    applied by repeated back-substitution instead of explicit inverses;
+    the dense ``g`` costs one solve per interior vertex and is formed
+    only when first read.  ``_p`` and ``_q`` are the interior block and
+    the boundary coupling the operator was built from.
     """
 
     chain: Chain
     lam: complex
-    g: np.ndarray
     f: np.ndarray
     _lu: LUFactorization = field(repr=False)
+    _p: np.ndarray = field(repr=False)
     _q: np.ndarray = field(repr=False)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Dense G(lam), by back-substitution of the identity."""
+        return self._lu.solve(np.eye(self._p.shape[0], dtype=complex))
 
     def apply_green(self, b: np.ndarray, power: int = 1) -> np.ndarray:
         """G(lam)^power @ b via repeated solves."""
@@ -71,9 +80,8 @@ def green(chain: Chain, lam: complex) -> GreenMatrix:
         lu = lu_factor(a)
     except Singular as exc:
         raise LambdaInSpectrum(f"lam = {lam} is in the interior spectrum: {exc}") from exc
-    g = lu.solve(np.eye(k, dtype=complex))
-    f = lu.solve(view.q.astype(complex))
-    return GreenMatrix(chain=chain, lam=complex(lam), g=g, f=f, _lu=lu, _q=view.q.astype(complex))
+    q = view.q.astype(complex)
+    return GreenMatrix(chain=chain, lam=complex(lam), f=lu.solve(q), _lu=lu, _p=view.p, _q=q)
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
     gv = boundary_vector(chain, g)
     gm = green(chain, lam)
     h_int = gm.apply_green(gm._q @ gv)
-    defect = (lam * h_int - sub_chain(chain).p @ h_int) - gm._q @ gv
+    defect = (lam * h_int - gm._p @ h_int) - gm._q @ gv
     values = _assemble(chain, h_int, gv)
     residuals = np.zeros(chain.n)
     residuals[list(chain.interior)] = np.abs(defect)
@@ -170,7 +178,6 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     gs = [boundary_vector(chain, g) for g in problem.boundary_functions]
     n = len(gs)
     gm = green(chain, lam)
-    view = sub_chain(chain)
     q = gm._q
 
     # tower route, top equation first: (lam I - P_int) f_n = Q g_n,
@@ -202,7 +209,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     for r in range(n, 0, -1):
         f_r = tower_int[r - 1]
         target = q @ gs[r - 1] + (tower_int[r] if r < n else 0.0)
-        defect = np.abs((lam * f_r - view.p @ f_r) - target)
+        defect = np.abs((lam * f_r - gm._p @ f_r) - target)
         residuals[list(chain.interior)] = np.maximum(
             residuals[list(chain.interior)], defect
         )

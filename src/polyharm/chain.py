@@ -337,12 +337,17 @@ def sub_chain(chain: Chain) -> SubChainView:
 
 def boundary_vector(chain: Chain, g) -> np.ndarray:
     """Coerce ``g`` (mapping id -> value, or sequence in boundary order)
-    into a complex vector over the boundary."""
+    into a complex vector over the boundary.  A mapping must give a value
+    for every boundary vertex and for nothing else."""
     k = len(chain.boundary)
     if isinstance(g, Mapping):
         missing = [w for w in chain.boundary_ids if w not in g]
         if missing:
             raise ValueError(f"boundary values missing for {missing}")
+        if len(g) != k:
+            extra = sorted(map(str, set(g) - set(chain.boundary_ids)))
+            raise ValueError(f"boundary values given for ids that are not "
+                             f"boundary vertices: {extra}")
         return np.array([complex(g[w]) for w in chain.boundary_ids])
     vec = np.asarray(g, dtype=complex)
     if vec.shape != (k,):

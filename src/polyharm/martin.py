@@ -64,11 +64,24 @@ def martin_kernel(chain: Chain, lam: complex, origin: str, n: int = 1) -> Martin
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    row = _origin_row(chain, origin)
+    return _martin_kernel(green(chain, lam), origin, row, n)
+
+
+def _origin_row(chain: Chain, origin: str) -> int:
+    """Row of ``origin`` in the interior blocks; it must be interior."""
     oi = chain.vertex_index(origin)
     if oi not in chain.interior:
         raise ValueError(f"origin {origin!r} must be an interior vertex")
-    gm = green(chain, lam)
-    o_row = gm.f[chain.interior.index(oi), :].copy()
+    return chain.interior.index(oi)
+
+
+def _martin_kernel(gm: GreenMatrix, origin: str, row: int, n: int) -> MartinKernel:
+    """Martin kernel from a Green matrix already built; ``row`` is the
+    origin's interior row."""
+    chain = gm.chain
+    oi = chain.interior[row]
+    o_row = gm.f[row, :].copy()
     _check_res_star(gm, o_row)
 
     nb = len(chain.boundary)
@@ -80,7 +93,7 @@ def martin_kernel(chain: Chain, lam: complex, origin: str, n: int = 1) -> Martin
     higher = [k[list(chain.interior), :].copy()]
     for _ in range(1, n):
         higher.append(gm.apply_green(higher[-1]))
-    return MartinKernel(chain=chain, origin=origin, lam=complex(lam), k=k, higher=higher)
+    return MartinKernel(chain=chain, origin=origin, lam=gm.lam, k=k, higher=higher)
 
 
 def riquier_via_kernels(chain: Chain, lam: complex, origin: str, gs) -> Solution:
@@ -95,9 +108,10 @@ def riquier_via_kernels(chain: Chain, lam: complex, origin: str, gs) -> Solution
     n = len(g_vecs)
     if n < 1:
         raise ValueError("need at least one boundary function")
-    mk = martin_kernel(chain, lam, origin, n)
+    row = _origin_row(chain, origin)
     gm = green(chain, lam)
-    o_row = gm.f[chain.interior.index(chain.vertex_index(origin)), :]
+    mk = _martin_kernel(gm, origin, row, n)
+    o_row = gm.f[row, :]
 
     f_int = np.zeros(len(chain.interior), dtype=complex)
     for r in range(1, n + 1):

@@ -104,7 +104,7 @@ def _run_shard(chain: Chain, config: SimConfig, lo: int, hi: int):
     pos = np.full(m, start, dtype=np.int64)
     active = np.ones(m, dtype=bool)
     counts = np.zeros(nb, dtype=np.int64)
-    first_visit = np.zeros((config.max_steps + 1, nb), dtype=np.int64)
+    first_visit_rows = [np.zeros(nb, dtype=np.int64)]
     occupancy_rows = [np.bincount(pos, minlength=n)]
 
     step = 0
@@ -116,16 +116,17 @@ def _run_shard(chain: Chain, config: SimConfig, lo: int, hi: int):
         nxt = (u[idx, None] >= rows).sum(axis=1)
         pos[idx] = nxt
         hit = boundary_set[nxt]
+        first_hits = np.zeros(nb, dtype=np.int64)
         if hit.any():
             cols = boundary_col[nxt[hit]]
             np.add.at(counts, cols, 1)
-            np.add.at(first_visit[step], cols, 1)
+            np.add.at(first_hits, cols, 1)
             active[idx[hit]] = False
+        first_visit_rows.append(first_hits)
         occupancy_rows.append(np.bincount(pos, minlength=n))
 
     censored = int(active.sum())
-    occupancy = np.vstack(occupancy_rows)
-    return counts, censored, first_visit[: step + 1], occupancy
+    return counts, censored, np.vstack(first_visit_rows), np.vstack(occupancy_rows)
 
 
 def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> HittingEstimate:

@@ -48,7 +48,9 @@ class ForwardTree:
 
     Every vertex of depth < D has at least one child (no interior
     leaves); vertices at depth D are the storage frontier.  Both the
-    measure and the equivalent forward probabilities are kept.
+    measure and the equivalent forward probabilities are kept.  The tree
+    is not changed after :func:`build_tree`, so the sections it has
+    accepted are remembered and not walked again.
     """
 
     root: str
@@ -59,6 +61,9 @@ class ForwardTree:
     measure: dict[str, float] = field(repr=False)
     forward_p: dict[str, float] = field(repr=False)  # p(parent(x), x), x != root
     max_depth: int = 0
+    # accepted sections, keyed by the caller's sequence of ids
+    _sections: dict[tuple, frozenset[str]] = field(default_factory=dict, init=False,
+                                                   repr=False)
 
     def is_ancestor(self, x: str, y: str) -> bool:
         """True when ``x`` lies on the root path of ``y`` (x == y counts)."""
@@ -216,7 +221,10 @@ class BoundaryDistribution:
 
 
 def _check_section(tree: ForwardTree, section: Collection[str]) -> frozenset[str]:
-    sec = frozenset(str(s) for s in section)
+    key = tuple(section)
+    if key in tree._sections:
+        return tree._sections[key]
+    sec = frozenset(str(s) for s in key)
     unknown = sec - set(tree.vertices)
     if unknown:
         raise NotASection(f"unknown section vertices {sorted(unknown)}")
@@ -235,6 +243,7 @@ def _check_section(tree: ForwardTree, section: Collection[str]) -> frozenset[str
             continue
         for c in tree.children[v]:
             stack.append((c, hits))
+    tree._sections[key] = sec  # only accepted sections: a rejection is re-raised every call
     return sec
 
 
@@ -454,7 +463,7 @@ def kernel_consistency_check(tree: ForwardTree, section: Collection[str],
         for r in range(1, n + 1):
             g_r = boundary_kernel(tree, lam, n + 1 - r, w, w)
             nu_r = lam ** (-dw) * g_r * tree.measure[w]
-            total += section_kernel(tree, sec, lam, r, x, w) * nu_r
+            total += section_kernel(tree, section, lam, r, x, w) * nu_r
         rhs[x] = total
     dev = max(abs(lhs[x] - rhs[x]) for x in lhs)
 

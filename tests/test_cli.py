@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from polyharm.cli import main
+from polyharm.formats import load_chain
+from polyharm.simulate import SimConfig, simulate_hitting
 
 P4_DOC = {
     "vertices": ["w1", "a", "b", "w2"],
@@ -265,3 +268,25 @@ def test_simulate_series_mode(p4_file, capsys):
     assert code == 0
     assert doc["verdicts"]["series_within_3_sigma"]
     assert doc["results"]["series_w1"]["analytic"] == pytest.approx(4 / 15)
+
+
+def test_dirichlet_unknown_boundary_ids_exit2(p4_file, tmp_path, capsys):
+    g = _g(tmp_path, "g.json", {"w1": 1, "w2": 0, "a": 99, "typo": 5})
+    code = main(["dirichlet", p4_file, "--lambda", "1", "--g", g])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'a'" in captured.err and "'typo'" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_simulate_huge_step_cap(p4_file, capsys):
+    base = ["simulate", p4_file, "--start", "a", "--trials", "10", "--seed", "1"]
+    code, huge = _run_json(capsys, base + ["--max-steps", "1000000000"])
+    assert code == 0
+    _, capped = _run_json(capsys, base + ["--max-steps", "10000"])
+    assert huge["results"]["counts"] == capped["results"]["counts"]
+    chain = load_chain(p4_file)
+    a, b = (simulate_hitting(chain, SimConfig(trials=10, seed=1, max_steps=cap, start="a"))
+            for cap in (10**9, 10**4))
+    for field in ("counts", "first_visit", "occupancy"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))

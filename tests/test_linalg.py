@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from polyharm import bvp, martin
 from polyharm.errors import Singular
 from polyharm.linalg import (
+    PANEL,
+    LUFactorization,
     char_poly,
     determinant,
     eigenvalues,
+    lu_factor,
     lu_solve,
     nullspace,
     nullspace_info,
     residual_inf,
 )
+
+from conftest import random_chain
 
 
 def test_identity_solve():
@@ -51,6 +57,96 @@ def test_lu_vector_rhs():
     x = lu_solve(a, np.array([3.0, 4.0]))
     assert x.shape == (2,)
     assert np.allclose(a @ x, [3.0, 4.0])
+
+
+def _unblocked_lu(a):
+    """Reference: elimination one column at a time over the whole
+    trailing block, the form the blocked factorisation must reproduce."""
+    m = np.array(a, dtype=complex)
+    n = m.shape[0]
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]] = m[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        m[k + 1:, k] /= m[k, k]
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
+    return m, perm
+
+
+def _random_matrix(rng, n, cplx):
+    a = rng.standard_normal((n, n))
+    return a + 1j * rng.standard_normal((n, n)) if cplx else a
+
+
+# sizes on both sides of one and two panel widths
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 150, 300])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_blocked_lu_matches_numpy(n, cplx):
+    rng = np.random.default_rng(n + 1000 * cplx)
+    a = _random_matrix(rng, n, cplx)
+    fac = lu_factor(a)
+    for b in (_random_matrix(rng, n, cplx)[:, 0], _random_matrix(rng, n, cplx)[:, :20]):
+        x = fac.solve(b)
+        want = np.linalg.solve(a, b)
+        assert x.shape == want.shape
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [PANEL + 1, 2 * PANEL + 5])
+def test_blocked_lu_pivots_as_unblocked(n):
+    rng = np.random.default_rng(n)
+    a = _random_matrix(rng, n, True)
+    fac = lu_factor(a)
+    ref, perm = _unblocked_lu(a)
+    assert np.array_equal(fac.perm, perm)
+    assert np.abs(fac.lu - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_column_past_first_panel():
+    rng = np.random.default_rng(60)
+    a = rng.standard_normal((100, 100))
+    a[:, 60] = a[:, 3] - 2.0 * a[:, 17] + 0.5 * a[:, 59]
+    with pytest.raises(Singular, match=r"at column 60 "):
+        lu_factor(a)
+
+
+@pytest.fixture
+def lu_counts(monkeypatch):
+    """Counts lu_factor calls made by the solvers and the right-hand-side
+    columns passed through LUFactorization.solve."""
+    counts = {"factor": 0, "columns": 0}
+    factor, solve = bvp.lu_factor, LUFactorization.solve
+
+    def counting_factor(a):
+        counts["factor"] += 1
+        return factor(a)
+
+    def counting_solve(self, b):
+        counts["columns"] += 1 if np.ndim(b) == 1 else np.shape(b)[1]
+        return solve(self, b)
+
+    monkeypatch.setattr(bvp, "lu_factor", counting_factor)
+    monkeypatch.setattr(LUFactorization, "solve", counting_solve)
+    return counts
+
+
+def test_one_factorisation_and_no_dense_green(lu_counts):
+    c = random_chain(np.random.default_rng(8), size=60)
+    nb, order = len(c.boundary), 2
+    lam = 1.7 + 0.2j
+    gs = [np.ones(nb), np.arange(nb, dtype=float)]
+    martin.riquier_via_kernels(c, lam, c.interior_ids[0], gs)
+    assert lu_counts["factor"] == 1
+    # F takes nb columns, each further kernel order nb more, a Dirichlet
+    # solve one; the dense G would take one per interior vertex
+    for solve, most in ((lambda: bvp.solve_dirichlet(c, lam, gs[0]), nb + 1),
+                        (lambda: martin.martin_kernel(c, lam, c.interior_ids[0]), nb),
+                        (lambda: martin.martin_kernel(c, lam, c.interior_ids[0], order),
+                         order * nb)):
+        lu_counts["columns"] = 0
+        solve()
+        assert lu_counts["columns"] <= most < len(c.interior)
 
 
 # ------------------------------------------------------------- nullspace

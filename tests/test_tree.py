@@ -99,6 +99,40 @@ def test_root_not_allowed_in_section(binary_tree):
         restrict_to_section(binary_tree, ["o"])
 
 
+def test_bad_section_rejected_on_every_call(binary_tree):
+    bad = ["u1", "v21"]
+    for _ in range(3):
+        with pytest.raises(NotASection):
+            tree_green(binary_tree, bad, 1.0, "o", "o")
+        with pytest.raises(NotASection):
+            section_kernel(binary_tree, bad, 1.0, 1, "o", "u1")
+        # an accepted section in between must not open the door
+        assert tree_green(binary_tree, DEPTH2_SECTION, 1.0, "o", "o") == pytest.approx(1.0)
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_section_walked_once(binary_tree):
+    binary_tree.children = _CountingDict(binary_tree.children)
+    s = DEPTH2_SECTION
+    tree_green(binary_tree, s, 1.0, "o", "u1")
+    first = binary_tree.children.reads
+    assert first > 0
+    for _ in range(20):
+        tree_green(binary_tree, s, 2.0, "o", "u1")
+        section_kernel(binary_tree, s, 1.0, 2, "o", "v11")
+        kernel_consistency_check(binary_tree, s, 1.0, 2, "v11")
+    assert binary_tree.children.reads == first
+
+
 def test_restriction_is_nilpotent():
     rng = np.random.default_rng(101)
     for _ in range(10):
