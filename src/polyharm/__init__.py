@@ -37,8 +37,6 @@ from .chain import (
 from .linalg import (
     LUFactorization,
     Spectrum,
-    char_poly,
-    determinant,
     eigenvalues,
     lu_factor,
     lu_solve,

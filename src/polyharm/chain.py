@@ -46,6 +46,8 @@ class Chain:
         Index sets of the two parts, each ascending.
     trans : ndarray
         Row-stochastic |X| x |X| matrix, boundary rows exact unit vectors.
+    dist : tuple of int
+        Fewest steps from each vertex to the boundary, in vertex order.
     """
 
     vertices: tuple[str, ...]
@@ -53,6 +55,7 @@ class Chain:
     boundary: tuple[int, ...]
     trans: np.ndarray
     index: dict[str, int] = field(repr=False)
+    dist: tuple[int, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -174,22 +177,25 @@ def build_chain(
 
     succ = _support_edges(p)
 
-    # every interior vertex must reach the boundary (reverse search)
+    # every interior vertex must reach the boundary: a reverse search,
+    # which also gives each vertex its distance to the boundary
     pred: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(succ):
         for j in row:
             if i != j:
                 pred[j].append(i)
-    reaches_boundary = set(boundary_idx)
+    dist = [-1] * n
+    for w in boundary_idx:
+        dist[w] = 0
     queue = deque(boundary_idx)
     while queue:
         v = queue.popleft()
         for u in pred[v]:
-            if u not in reaches_boundary:
-                reaches_boundary.add(u)
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
                 queue.append(u)
     for x in interior_idx:
-        if x not in reaches_boundary:
+        if dist[x] < 0:
             raise DeadInterior(f"interior vertex {vertices[x]} cannot reach the boundary")
 
     # every boundary vertex must be hit from the interior (forward search)
@@ -209,7 +215,7 @@ def build_chain(
             raise InactiveBoundary(f"boundary vertex {vertices[w]} is never reached")
 
     p.setflags(write=False)
-    return Chain(vertices, interior_idx, boundary_idx, p, index)
+    return Chain(vertices, interior_idx, boundary_idx, p, index, tuple(dist))
 
 
 def build_network(edges: Iterable[tuple[str, str, float]], boundary: Iterable[str]) -> Network:
@@ -289,22 +295,7 @@ def from_network(network: Network) -> Chain:
 def boundary_distance(chain: Chain) -> dict[str, int]:
     """Minimum number of steps from each vertex to the boundary along
     positive-probability edges (0 on the boundary itself)."""
-    n = chain.n
-    succ = _support_edges(chain.trans)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(succ):
-        for j in row:
-            if i != j:
-                pred[j].append(i)
-    dist = {w: 0 for w in chain.boundary}
-    queue = deque(chain.boundary)
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return {chain.vertices[i]: d for i, d in dist.items()}
+    return dict(zip(chain.vertices, chain.dist))
 
 
 def nth_boundary(chain: Chain, n: int) -> frozenset[str]:

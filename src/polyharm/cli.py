@@ -144,7 +144,7 @@ def cmd_spectrum(args, rep: Report) -> None:
     rep.result("eigenvalues", list(ispec.spectrum.eigenvalues))
     rep.result("multiplicities", list(ispec.spectrum.alg_mult))
     rep.result("rho", ispec.rho)
-    rep.verdict("spectral_radius_below_one", ispec.rho < 1.0 - 1e-10)
+    rep.verdict("spectral_radius_below_one", ispec.rho < 1.0 - spectral.RHO_MARGIN)
 
 
 def cmd_dirichlet(args, rep: Report) -> None:

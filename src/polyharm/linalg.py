@@ -1,21 +1,21 @@
 """Dense complex linear algebra used by the solvers.
 
-Everything here is written against plain ``numpy`` arrays but the
-factorisations themselves are implemented in this module rather than
-delegated to LAPACK: the solvers need full control over pivot
-thresholds, because "singular" is a semantic signal (the resolvent
-parameter hit the spectrum), not just a numerical accident.
+The factorisations that make rank decisions are implemented in this
+module rather than delegated to LAPACK: the solvers need full control
+over pivot thresholds, because "singular" is a semantic signal (the
+resolvent parameter hit the spectrum), not just a numerical accident.
+So the LU (:func:`lu_factor`, threshold ``PIVOT_RTOL``) and the
+rank-revealing nullspace (:func:`nullspace_info`) are ours.
 
-Sizes are desk scale (a few hundred at most), so an O(n^3) kernel with
-an O(n^2)-per-iteration simultaneous root finder is entirely adequate.
-The characteristic-polynomial route is known to be ill-conditioned for
-large matrices; :func:`eigenvalues` warns beyond dimension 50.
+Eigenvalues carry no such meaning and come from LAPACK
+(``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
+checks every eigenpair's residual and clusters the values into
+multiplicities.  Sizes are desk scale (a few hundred at most).
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +27,10 @@ log = logging.getLogger(__name__)
 PIVOT_RTOL = 1e-12
 CLUSTER_TOL = 1e-8
 MAX_EIG_DIM = 512
-MAX_ROOT_ITER = 500
 
 _EPS = float(np.finfo(float).eps)
+# every eigenpair must satisfy |Av - zv|_inf <= EIG_RTOL * |A|_inf * |v|_inf
+EIG_RTOL = 1e3 * _EPS
 
 
 def as_matrix(a) -> np.ndarray:
@@ -142,27 +143,6 @@ def lu_solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
 def residual_inf(a, x, b) -> float:
     """Max-norm residual |A X - B|_inf."""
     return float(np.abs(np.asarray(a) @ np.asarray(x) - np.asarray(b)).max())
-
-
-def determinant(a) -> complex:
-    """Determinant via elimination with partial pivoting.
-
-    Unlike :func:`lu_factor` this never raises on tiny pivots; a
-    (numerically) singular matrix simply returns a tiny determinant.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    det = complex(1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0:
-            return 0j
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            det = -det
-        det *= m[k, k]
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
-    return det
 
 
 # ------------------------------------------------------------ nullspace
@@ -295,98 +275,6 @@ class Spectrum:
         return min(self.eigenvalues, key=lambda z: abs(z - lam))
 
 
-def char_poly(a) -> np.ndarray:
-    """Monic characteristic polynomial det(lam I - A), highest degree
-    first, by the Faddeev-LeVerrier trace recursion."""
-    m = as_matrix(a)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.zeros_like(m)
-    ident = np.eye(n)
-    for k in range(1, n + 1):
-        mk = m @ mk + coeffs[k - 1] * ident
-        coeffs[k] = -np.trace(m @ mk) / k
-    return coeffs
-
-
-def _polyval_with_deriv(coeffs: np.ndarray, z: np.ndarray):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    if n <= 0:
-        return np.zeros(1, dtype=complex)
-    return coeffs[:-1] * np.arange(n, 0, -1)
-
-
-def _refine_multiple_root(coeffs: np.ndarray, z: complex, mult: int,
-                          radius: float) -> complex:
-    """Polish an m-fold cluster centre by Newton on the (m-1)-th
-    derivative, whose root there is simple and therefore well
-    conditioned; reject the result if it leaves the cluster."""
-    d = coeffs
-    for _ in range(mult - 1):
-        d = _poly_derivative(d)
-    zz = complex(z)
-    for _ in range(6):
-        p, dp = _polyval_with_deriv(d, np.array([zz]))
-        if dp[0] == 0:
-            break
-        step = p[0] / dp[0]
-        zz -= step
-        if abs(step) <= 4.0 * _EPS * (1.0 + abs(zz)):
-            break
-    return zz if abs(zz - z) <= radius else z
-
-
-def _eval_bound(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Crude running bound on the attainable |p(z)| in floating point."""
-    az = np.abs(z)
-    b = np.zeros(az.shape)
-    for c in coeffs:
-        b = b * az + abs(c)
-    d = len(coeffs)
-    return 4.0 * d * _EPS * np.maximum(b, 1.0)
-
-
-def _aberth(coeffs: np.ndarray, max_iter: int = MAX_ROOT_ITER) -> np.ndarray:
-    """All roots of a monic polynomial by the Aberth-Ehrlich simultaneous
-    iteration, starting from a perturbed circle of Cauchy-bound radius."""
-    d = len(coeffs) - 1
-    if d == 0:
-        return np.zeros(0, dtype=complex)
-    if d == 1:
-        return np.array([-coeffs[1]])
-    radius = 1.0 + float(np.abs(coeffs[1:]).max())
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.4
-    z = radius * np.exp(1j * angles) * (1.0 + 1e-3 * np.arange(d) / d)
-    for _ in range(max_iter):
-        p, dp = _polyval_with_deriv(coeffs, z)
-        done = np.abs(p) <= _eval_bound(coeffs, z)
-        if done.all():
-            return z
-        dp = np.where(dp == 0, _EPS, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        diff[diff == 0] = 1e-30  # colliding iterates must not produce inf
-        sums = (1.0 / diff).sum(axis=1) - 1.0  # remove the diagonal 1/1 terms
-        denom = 1.0 - newton * sums
-        denom = np.where(denom == 0, _EPS, denom)
-        w = np.where(done, 0.0, newton / denom)
-        z = z - w
-        if float(np.max(np.abs(w) / (1.0 + np.abs(z)))) < 4.0 * _EPS:
-            return z
-    raise NoConvergence(f"root iteration did not settle in {max_iter} sweeps")
-
-
 def _cluster(roots: np.ndarray, tol: float) -> tuple[list[complex], list[int]]:
     """Single-linkage clustering at ``tol``, iterated on the centres so
     the returned eigenvalues are pairwise separated by more than tol."""
@@ -414,67 +302,47 @@ def _cluster(roots: np.ndarray, tol: float) -> tuple[list[complex], list[int]]:
     return [centers[i] for i in order], [mults[i] for i in order]
 
 
-def eigenvalues(a, cluster_tol: float = CLUSTER_TOL,
-                max_iter: int = MAX_ROOT_ITER) -> Spectrum:
+def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     """All eigenvalues of a square matrix with algebraic multiplicities.
 
-    Pipeline: Faddeev-LeVerrier characteristic polynomial, exact-zero
-    deflation of roots at the origin, Aberth-Ehrlich simultaneous
-    iteration, one guarded Newton step per root, then clustering.
+    LAPACK computes the eigenpairs; each pair must satisfy
+    |Av - zv|_inf <= EIG_RTOL * |A|_inf * |v|_inf, and a failed pair or a
+    LAPACK failure raises :class:`NoConvergence`.  The values are then
+    clustered.
 
-    Multiple roots of a floating-point polynomial split by roughly
-    eps**(1/m), so the working cluster radius is floored at a small
-    multiple of sqrt(eps); ``cluster_tol`` only tightens the guarantee
-    that *returned* eigenvalues are pairwise separated by more than it.
-    Pass a larger ``cluster_tol`` to recognise higher multiplicities.
-
-    Every returned value is validated against |det(lam I - A)| at scale
-    1e-6 * max(1, |A|_inf)**n; failure raises :class:`NoConvergence`.
+    An eigenvalue of multiplicity m in a Jordan block of size m splits by
+    roughly eps**(1/m) in floating point, so the working cluster radius
+    is floored at a small multiple of sqrt(eps); ``cluster_tol`` only
+    tightens the guarantee that *returned* eigenvalues are pairwise
+    separated by more than it.  Pass a larger ``cluster_tol`` to recognise
+    defective eigenvalues of multiplicity 3 or more.
     """
     m = as_matrix(a)
-    n = m.shape[0]
+    n, nc = m.shape
+    if n != nc:
+        raise ValueError(f"matrix is {n}x{nc}, expected square")
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds supported {MAX_EIG_DIM}")
-    if n > 50:
-        warnings.warn(
-            "characteristic-polynomial eigenvalues are ill-conditioned for "
-            f"dimension {n} > 50; treat multiplicities with suspicion",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if n == 0:
         return Spectrum((), (), cluster_tol)
 
-    coeffs = char_poly(m)
-    # exact trailing zeros: that many roots exactly at the origin
-    # (nilpotent blocks produce them without rounding)
-    nz = 0
-    while nz < n and coeffs[n - nz] == 0:
-        nz += 1
-    reduced = coeffs[: n - nz + 1]
+    # a real matrix stays real, so its real eigenvalues come out exactly real
+    work = m.real if not m.imag.any() else m
+    try:
+        roots, vecs = np.linalg.eig(work)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigenvalue iteration failed: {exc}") from None
+    norm_a = float(np.abs(work).sum(axis=1).max())
+    resid = np.abs(work @ vecs - vecs * roots).max(axis=0)
+    limit = EIG_RTOL * norm_a * np.abs(vecs).max(axis=0)
+    bad = int(np.argmax(resid - limit))
+    if resid[bad] > limit[bad]:
+        raise NoConvergence(
+            f"eigenpair at {complex(roots[bad])} has residual {resid[bad]:.3e} "
+            f"> {limit[bad]:.3e}"
+        )
 
-    roots = _aberth(reduced, max_iter)
-    if roots.size:
-        p, dp = _polyval_with_deriv(reduced, roots)
-        step = np.where(dp == 0, 0.0, p / np.where(dp == 0, 1.0, dp))
-        roots = roots - step
-    roots = np.concatenate([roots, np.zeros(nz, dtype=complex)])
-
-    scale_r = 1.0 + (float(np.abs(roots).max()) if roots.size else 0.0)
+    scale_r = 1.0 + float(np.abs(roots).max())
     tol_eff = max(cluster_tol, 32.0 * np.sqrt(_EPS) * scale_r)
     centers, mults = _cluster(roots, tol_eff)
-    centers = [
-        _refine_multiple_root(coeffs, z, mu, tol_eff) if mu >= 2 else z
-        for z, mu in zip(centers, mults)
-    ]
-
-    norm_a = float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
-    det_tol = 1e-6 * max(1.0, norm_a) ** n
-    ident = np.eye(n)
-    for z in centers:
-        d = abs(determinant(z * ident - m))
-        if d > det_tol:
-            raise NoConvergence(
-                f"claimed eigenvalue {z} has |det(zI-A)| = {d:.3e} > {det_tol:.3e}"
-            )
     return Spectrum(tuple(centers), tuple(mults), cluster_tol)

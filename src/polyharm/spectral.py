@@ -108,11 +108,11 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     against the previous level, which makes the output deterministic
     given the pivot order.
 
-    Roots of multiplicity m split by roughly eps**(1/m) in the
-    characteristic polynomial, so recognising eigenvalues of
-    multiplicity 3 or more needs a correspondingly coarse
-    ``cluster_tol`` (the centre itself is re-polished internally and
-    stays accurate).
+    A defective eigenvalue in a Jordan block of size m splits by roughly
+    eps**(1/m) in floating point, so recognising one of multiplicity 3
+    or more needs a correspondingly coarse ``cluster_tol`` (the cluster
+    centre, the mean of the split values, stays accurate).  Semisimple
+    eigenvalues do not split.
 
     Raises
     ------
@@ -256,7 +256,9 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
 
 @dataclass(eq=False)
 class NetworkSpectrumReport:
-    """Spectral sanity report for a chain built from a resistive network."""
+    """Spectral sanity report for a chain built from a resistive network.
+
+    Only passing checks produce a report; violations raise."""
 
     chain: Chain
     spectrum: Spectrum
@@ -264,10 +266,6 @@ class NetworkSpectrumReport:
     max_imag: float
     geo_mults: tuple[int, ...]
     alg_mults: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return True  # violations raise instead
 
 
 def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
@@ -277,9 +275,9 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     The similarity by diag(sqrt(m(x))) symmetrises the interior block, so
     the spectrum must be real and every eigenvalue must have equal
     geometric and algebraic multiplicity.  Numeric violations raise
-    :class:`ReportedViolation`; for highly symmetric networks whose
-    eigenvalues repeat three times or more, pass a coarser
-    ``cluster_tol`` (repeated roots split by ~eps**(1/m) numerically).
+    :class:`ReportedViolation`.  The interior block is similar to a
+    symmetric matrix, so its eigenvalues are semisimple and repeated ones
+    do not split: the default ``cluster_tol`` resolves them.
     """
     if not isinstance(network, Network):
         raise TypeError("network_spectrum_check needs a Network, "

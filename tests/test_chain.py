@@ -209,6 +209,65 @@ def test_boundary_distance(path5):
     assert dist == {"w1": 0, "w2": 0, "a": 1, "b": 2, "c": 1}
 
 
+def _distance_by_relaxation(c):
+    """Fewest steps to the boundary by iterating "some successor is within
+    k steps" on the support matrix, apart from any search code."""
+    step = c.trans > 0.0
+    np.fill_diagonal(step, False)
+    within = np.zeros(c.n, dtype=bool)
+    within[list(c.boundary)] = True
+    dist = np.where(within, 0, -1)
+    for k in range(1, c.n + 1):
+        within = within | (step & within[None, :]).any(axis=1)
+        dist[within & (dist < 0)] = k
+    return {v: int(d) for v, d in zip(c.vertices, dist)}
+
+
+def _sparse_chain(rng, n):
+    """Random chain whose interior is a forward path to the boundary plus
+    a few random edges, so distances range from 1 to the path length."""
+    nb = int(rng.integers(1, 4))
+    ni = n - nb
+    names = [f"x{k}" for k in range(ni)] + [f"w{k}" for k in range(nb)]
+    trans = np.zeros((n, n))
+    for i in range(ni):
+        trans[i, i + 1 if i + 1 < ni else ni] = 1.0
+        for j in rng.integers(0, ni, size=2):
+            trans[i, j] += rng.random()
+        trans[i] /= trans[i].sum()
+    for j in range(nb):
+        trans[ni + j, ni + j] = 1.0
+    for j in range(1, nb):  # every boundary vertex must be hit
+        trans[ni - 1, ni + j] = 1.0
+    trans[ni - 1] /= trans[ni - 1].sum()
+    return build_chain(names, names[:ni], names[ni:], trans)
+
+
+def test_boundary_distance_matches_relaxation():
+    for n in range(2, 61):
+        c = random_chain(np.random.default_rng(n), size=n)
+        assert boundary_distance(c) == _distance_by_relaxation(c)
+    rng = np.random.default_rng(61)
+    for n in range(5, 61, 5):
+        c = _sparse_chain(rng, n)
+        assert boundary_distance(c) == _distance_by_relaxation(c)
+        assert max(c.dist) > 1
+
+
+def test_boundary_search_runs_once_per_chain(monkeypatch):
+    from polyharm import bvp, chain as chainmod
+
+    c = random_chain(np.random.default_rng(3), size=20)
+    calls = []
+    real = chainmod._support_edges
+    monkeypatch.setattr(chainmod, "_support_edges",
+                        lambda trans: calls.append(1) or real(trans))
+    g = np.ones(len(c.boundary))
+    bvp.solve_riquier(bvp.RiquierProblem(1.5, (g, 2 * g, 3 * g)), c)
+    bvp.solve_dirichlet(c, 1.5, g)
+    assert calls == []
+
+
 def test_nth_boundary_rejects_bad_order(p4):
     with pytest.raises(ValueError):
         nth_boundary(p4, 0)

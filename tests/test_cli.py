@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from polyharm.cli import main
-from polyharm.formats import load_chain
+from polyharm.formats import chain_to_doc, load_chain, value_to_complex
 from polyharm.simulate import SimConfig, simulate_hitting
+
+from conftest import random_chain
 
 P4_DOC = {
     "vertices": ["w1", "a", "b", "w2"],
@@ -106,6 +108,21 @@ def test_spectrum(p4_file, capsys):
     assert code == 0
     assert doc["results"]["rho"] == pytest.approx(0.5, abs=1e-9)
     assert doc["verdicts"]["spectral_radius_below_one"]
+
+
+def test_spectrum_matches_lapack_on_dense_chain(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    random_chain(rng, size=10)
+    path = tmp_path / "dense20.json"
+    path.write_text(json.dumps(chain_to_doc(random_chain(rng, size=20))))
+    code, doc = _run_json(capsys, ["spectrum", str(path)])
+    assert code == 0
+    chain = load_chain(str(path))
+    want = np.linalg.eigvals(chain.trans[np.ix_(chain.interior, chain.interior)])
+    got = np.array([value_to_complex(z) for z in doc["results"]["eigenvalues"]])
+    assert sum(doc["results"]["multiplicities"]) == want.size
+    assert np.abs(got[:, None] - want[None, :]).min(axis=1).max() <= 1e-8
+    assert np.abs(got[:, None] - want[None, :]).min(axis=0).max() <= 1e-8
 
 
 def test_martin(p4_file, capsys):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from polyharm import bvp, martin
+from polyharm import bvp, martin, sub_chain
 from polyharm.errors import Singular
 from polyharm.linalg import (
     PANEL,
     LUFactorization,
-    char_poly,
-    determinant,
     eigenvalues,
     lu_factor,
     lu_solve,
@@ -193,12 +191,6 @@ def test_nullspace_quality_random():
 
 # ----------------------------------------------------------- eigenvalues
 
-def test_char_poly_2x2():
-    p = np.array([[0.0, 0.5], [0.5, 0.0]])
-    coeffs = char_poly(p)
-    assert np.allclose(coeffs, [1.0, 0.0, -0.25])
-
-
 def test_eigenvalues_p4_interior():
     p = np.array([[0.0, 0.5], [0.5, 0.0]])
     spec = eigenvalues(p)
@@ -235,7 +227,7 @@ def test_eigenvalue_trace_det_invariants():
         prod = complex(1.0)
         for z, m in zip(spec.eigenvalues, spec.alg_mult):
             prod *= z**m
-        det = determinant(a)
+        det = np.linalg.det(a)
         assert abs(prod - det) <= 1e-6 * max(1e-12, abs(det))
 
 
@@ -253,11 +245,6 @@ def test_eigen_dimension_guard():
         eigenvalues(np.eye(513))
 
 
-def test_determinant_known():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert determinant(a) == pytest.approx(-2.0)
-
-
 def test_multiplicities_sum_to_dimension():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -267,10 +254,47 @@ def test_multiplicities_sum_to_dimension():
         assert sum(spec.alg_mult) == n
 
 
-def test_no_convergence_when_starved():
+def test_no_convergence_on_bad_eigenpair(monkeypatch):
     from polyharm.errors import NoConvergence
 
     rng = np.random.default_rng(21)
     a = rng.standard_normal((8, 8))
-    with pytest.raises(NoConvergence):
-        eigenvalues(a, max_iter=1)
+    eig = np.linalg.eig
+
+    def perturbed(m):
+        z, v = eig(m)
+        z = z.copy()
+        z[3] += 1e-9 * np.abs(z).max()
+        return z, v
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    with pytest.raises(NoConvergence, match="residual"):
+        eigenvalues(a)
+
+
+def test_no_convergence_on_lapack_failure(monkeypatch):
+    from polyharm.errors import NoConvergence
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(NoConvergence, match="LAPACK"):
+        eigenvalues(np.eye(3))
+
+
+def test_eigenvalues_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.ones((2, 3)))
+
+
+def test_eigenvalues_accurate_on_random_chains():
+    # every returned z is an eigenvalue by an oracle apart from eig: the
+    # smallest singular value of zI - P_int vanishes
+    for n in range(2, 61):
+        p = sub_chain(random_chain(np.random.default_rng(n), size=n)).p
+        spec = eigenvalues(p)
+        assert sum(spec.alg_mult) == p.shape[0]
+        for z in spec.eigenvalues:
+            smin = np.linalg.svd(z * np.eye(p.shape[0]) - p, compute_uv=False)[-1]
+            assert smin <= 1e-10, (n, z, smin)
