@@ -253,6 +253,21 @@ def build_network(edges: Iterable[tuple[str, str, float]], boundary: Iterable[st
     return Network(edge_list, boundary_ids)
 
 
+def conductances(network: Network) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
+    """The symmetric conductance table, parallel edges summed, and the
+    vertex weights m(x) = sum of the conductances at x (a loop counts
+    once)."""
+    cond: dict[tuple[str, str], float] = {}
+    for u, v, a in network.edges:
+        cond[(u, v)] = cond.get((u, v), 0.0) + a
+        if u != v:
+            cond[(v, u)] = cond.get((v, u), 0.0) + a
+    m: dict[str, float] = {}
+    for (u, _), a in cond.items():
+        m[u] = m.get(u, 0.0) + a
+    return cond, m
+
+
 def from_network(network: Network) -> Chain:
     """Convert a resistive network into an absorbing chain.
 
@@ -261,33 +276,23 @@ def from_network(network: Network) -> Chain:
     absorbing.  The result is reversible on the interior:
     m(x) p(x,y) = m(y) p(y,x).
     """
-    vertex_set: set[str] = set(network.boundary)
-    cond: dict[tuple[str, str], float] = {}
-    for u, v, a in network.edges:
-        vertex_set.update((u, v))
-        # parallel edges accumulate
-        cond[(u, v)] = cond.get((u, v), 0.0) + a
-        if u != v:
-            cond[(v, u)] = cond.get((v, u), 0.0) + a
-    vertices = sorted(vertex_set)
+    cond, m = conductances(network)
+    vertices = sorted(set(network.boundary) | set(m))
     index = {v: i for i, v in enumerate(vertices)}
     boundary_ids = set(network.boundary)
     n = len(vertices)
 
-    m = np.zeros(n)
-    for (u, v), a in cond.items():
-        m[index[u]] += a
     p = np.zeros((n, n))
     for x in vertices:
         xi = index[x]
         if x in boundary_ids:
             p[xi, xi] = 1.0
             continue
-        if m[xi] <= 0.0:
+        if m[x] <= 0.0:
             raise ZeroDegree(f"vertex {x} has zero total conductance")
         for (u, v), a in cond.items():
             if u == x:
-                p[xi, index[v]] += a / m[xi]
+                p[xi, index[v]] += a / m[x]
     interior_ids = [v for v in vertices if v not in boundary_ids]
     return build_chain(vertices, interior_ids, sorted(boundary_ids), p)
 

@@ -238,6 +238,7 @@ def cmd_simulate(args, rep: Report) -> None:
     rep.result("std_error", {w: float(s) for w, s
                              in zip(chain.boundary_ids, est.std_error)})
     rep.result("censored", est.censored)
+    rep.result("steps", est.steps)
     rep.verdict("censoring_below_1e-3", not est.censor_flagged)
     if args.compare:
         lam = parse_complex(args.compare_lambda)

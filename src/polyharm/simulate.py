@@ -6,6 +6,12 @@ the value at counter offset (k-1)*trials + t of a Philox stream keyed by
 the seed, so every trial owns a fixed, scheduler-independent substream:
 results are bit-identical no matter how trials are sharded across
 workers.  Merging shard results is plain addition of counts.
+
+A step costs time and memory in proportion to the trials still walking,
+not to trials x vertices: the next vertex is found by bisection in a
+table of each row's cumulative sums at its support, absorbed trials
+leave the live set, and each step draws the variates of the span from
+the first to the last live trial only.
 """
 
 from __future__ import annotations
@@ -74,59 +80,114 @@ class HittingEstimate:
     def censor_flagged(self) -> bool:
         return self.censored / self.trials > CENSOR_FLAG_RATE
 
+    @property
+    def steps(self) -> int:
+        """Steps run: the last step at which some trial was still walking,
+        or ``max_steps``."""
+        return self.occupancy.shape[0] - 1
+
+    @property
+    def live(self) -> np.ndarray:
+        """Trials still walking at each step, 0 through ``steps``."""
+        return self.occupancy[:, list(self.chain.interior)].sum(axis=1)
+
     def count_of(self, w: str) -> int:
         return int(self.counts[self.chain.boundary_ids.index(w)])
 
 
-def _step_uniforms(seed: int, step: int, trials: int, lo: int, hi: int) -> np.ndarray:
-    offset = (step - 1) * trials + lo
-    bitgen = np.random.Philox(key=seed)
-    # advance() moves the counter in whole 4-output blocks; walk the rest
-    bitgen.advance(offset // 4)
-    if offset % 4:
-        bitgen.random_raw(offset % 4)
-    return np.random.Generator(bitgen).random(hi - lo)
+class _Stream:
+    """The seed's Philox stream, one generator per shard: each draw
+    restores the initial state and advances to the requested counter."""
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=seed)
+        self._initial = self._bitgen.state
+
+    def uniforms(self, offset: int, picks: np.ndarray) -> np.ndarray:
+        """The variates at counters ``offset + picks`` (ascending picks,
+        the first 0): the whole span is drawn as raw words, and only the
+        picked ones become doubles."""
+        self._bitgen.state = self._initial
+        # advance() moves the counter in whole 4-output blocks; skip the rest
+        self._bitgen.advance(offset // 4)
+        skip = offset % 4
+        words = self._bitgen.random_raw(skip + int(picks[-1]) + 1)[skip:]
+        # the conversion Generator.random applies to each 64-bit word
+        return (words[picks] >> 11) * 2.0**-53
 
 
-def _run_shard(chain: Chain, config: SimConfig, lo: int, hi: int):
+def _support_table(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the cumulative sums at the columns where they increase,
+    padded with +inf to 2^L - 1 slots, and those columns.
+
+    The last cumulative sum is set to 1 against rounding, so a row that
+    sums to 1 - ulp still selects its last column.  Only a column where
+    the cumulative sum increases can be the first one that exceeds a
+    uniform, so dropping the others changes no choice.
+    """
+    cum = np.cumsum(trans, axis=1)
+    cum[:, -1] = 1.0
+    keep = np.diff(cum, axis=1, prepend=0.0) > 0.0
+    width = (1 << int(keep.sum(axis=1).max()).bit_length()) - 1
+    rows, cols = np.nonzero(keep)
+    slots = (np.cumsum(keep, axis=1) - 1)[rows, cols]
+    vals = np.full((trans.shape[0], width), np.inf)
+    vals[rows, slots] = cum[rows, cols]
+    targets = np.zeros((trans.shape[0], width), dtype=np.int64)
+    targets[rows, slots] = cols
+    return vals, targets
+
+
+def _next_vertex(vals: np.ndarray, targets: np.ndarray, pos: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """The first column of row ``pos`` whose cumulative sum exceeds ``u``,
+    by a branchless bisection over the support table."""
+    width = vals.shape[1]
+    flat = vals.ravel()
+    k = pos * width  # flat index of the row's first slot, then of the answer
+    s = (width + 1) // 2
+    while s:
+        k += s * (flat[s - 1:][k] <= u)
+        s //= 2
+    return targets.ravel()[k]
+
+
+def _run_shard(chain: Chain, config: SimConfig, table: tuple[np.ndarray, np.ndarray],
+               lo: int, hi: int):
     n = chain.n
     nb = len(chain.boundary)
-    start = chain.vertex_index(config.start)
-    boundary_set = np.zeros(n, dtype=bool)
-    boundary_set[list(chain.boundary)] = True
+    boundary = list(chain.boundary)
     boundary_col = np.full(n, -1, dtype=np.int64)
-    for j, w in enumerate(chain.boundary):
-        boundary_col[w] = j
-    cum = np.cumsum(chain.trans, axis=1)
-    cum[:, -1] = 1.0  # guard against rounding in the last bin
+    boundary_col[boundary] = np.arange(nb)
+    stream = _Stream(config.seed)
 
-    m = hi - lo
-    pos = np.full(m, start, dtype=np.int64)
-    active = np.ones(m, dtype=bool)
+    # the live set: ascending shard-local trial ids and their positions
+    ids = np.arange(hi - lo)
+    pos = np.full(hi - lo, chain.vertex_index(config.start), dtype=np.int64)
+    # counts[j] is also the number of absorbed trials sitting at boundary j
     counts = np.zeros(nb, dtype=np.int64)
-    first_visit_rows = [np.zeros(nb, dtype=np.int64)]
+    first_visit_rows = [counts.copy()]
     occupancy_rows = [np.bincount(pos, minlength=n)]
 
     step = 0
-    while active.any() and step < config.max_steps:
+    while ids.size and step < config.max_steps:
         step += 1
-        u = _step_uniforms(config.seed, step, config.trials, lo, hi)
-        idx = np.nonzero(active)[0]
-        rows = cum[pos[idx]]
-        nxt = (u[idx, None] >= rows).sum(axis=1)
-        pos[idx] = nxt
-        hit = boundary_set[nxt]
-        first_hits = np.zeros(nb, dtype=np.int64)
-        if hit.any():
-            cols = boundary_col[nxt[hit]]
-            np.add.at(counts, cols, 1)
-            np.add.at(first_hits, cols, 1)
-            active[idx[hit]] = False
+        first = int(ids[0])
+        u = stream.uniforms((step - 1) * config.trials + lo + first, ids - first)
+        pos = _next_vertex(*table, pos, u)
+        col = boundary_col[pos]
+        hit = col >= 0
+        first_hits = np.bincount(col[hit], minlength=nb)
+        if first_hits.any():
+            counts += first_hits
+            live = ~hit
+            ids, pos = ids[live], pos[live]
         first_visit_rows.append(first_hits)
-        occupancy_rows.append(np.bincount(pos, minlength=n))
+        occ = np.bincount(pos, minlength=n)
+        occ[boundary] += counts
+        occupancy_rows.append(occ)
 
-    censored = int(active.sum())
-    return counts, censored, np.vstack(first_visit_rows), np.vstack(occupancy_rows)
+    return counts, int(ids.size), np.vstack(first_visit_rows), np.vstack(occupancy_rows)
 
 
 def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> HittingEstimate:
@@ -136,6 +197,7 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
 
     ``shards`` only partitions the work; results are identical for any
     value because every trial consumes its own counter-indexed substream.
+    More shards than trials are not made: every shard holds a trial.
     Trajectories still alive after ``max_steps`` are counted as censored
     (exponentially rare on a valid chain).
     """
@@ -144,7 +206,9 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
         raise ValueError(f"start vertex {config.start!r} must be interior")
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    shards = min(shards, config.trials)
 
+    table = _support_table(chain.trans)
     bounds = np.linspace(0, config.trials, shards + 1).astype(int)
     total_counts = np.zeros(len(chain.boundary), dtype=np.int64)
     total_censored = 0
@@ -152,9 +216,7 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
     occ_parts: list[np.ndarray] = []
     for s in range(shards):
         lo, hi = int(bounds[s]), int(bounds[s + 1])
-        if lo == hi:
-            continue
-        counts, censored, fv, occ = _run_shard(chain, config, lo, hi)
+        counts, censored, fv, occ = _run_shard(chain, config, table, lo, hi)
         total_counts += counts
         total_censored += censored
         fv_parts.append(fv)

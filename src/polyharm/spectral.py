@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, Network, from_network, sub_chain
+from .chain import Chain, Network, conductances, from_network, sub_chain
 from .errors import (
     IllConditioned,
     NotAnEigenvalue,
@@ -284,10 +284,8 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
                         f"got {type(network).__name__}")
     ch = from_network(network)
     view = sub_chain(ch)
-    # m(x) up to global scale: reversibility makes row weights recoverable
-    # from the conductances; rebuild them directly
-    m_weights = _vertex_weights(network, view.interior)
-    d = np.sqrt(m_weights)
+    _, m = conductances(network)
+    d = np.sqrt([m[x] for x in view.interior])
     sym = (d[:, None] * view.p) / d[None, :]
     sym_dev = float(np.abs(sym - sym.T).max())
     if sym_dev > 1e-12:
@@ -317,11 +315,3 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         alg_mults=spec.alg_mult,
     )
 
-
-def _vertex_weights(network: Network, interior_ids: tuple[str, ...]) -> np.ndarray:
-    totals: dict[str, float] = {}
-    for u, v, a in network.edges:
-        totals[u] = totals.get(u, 0.0) + a
-        if u != v:
-            totals[v] = totals.get(v, 0.0) + a
-    return np.array([totals[x] for x in interior_ids])

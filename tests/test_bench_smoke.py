@@ -1,6 +1,8 @@
-"""Runs the benchmark's self-test on the ``riquier`` workload: every
-solver answer up to interior size 300 checked against the benchmark's
-numpy oracle, and every check shown to reject a perturbed answer."""
+"""Runs the benchmark's self-test on the ``riquier`` and ``montecarlo``
+workloads: every solver answer up to interior size 300 and every
+simulation checked against the benchmark's numpy oracle (z-scores, the
+first-visit series, one shard against three bit for bit), and every
+check shown to reject a perturbed answer."""
 
 import subprocess
 import sys
@@ -9,7 +11,15 @@ from pathlib import Path
 SELFTEST = Path(__file__).resolve().parent.parent / "bench" / "selftest.py"
 
 
-def test_bench_selftest_riquier():
-    proc = subprocess.run([sys.executable, str(SELFTEST), "--workloads", "riquier"],
+def _selftest(workload):
+    proc = subprocess.run([sys.executable, str(SELFTEST), "--workloads", workload],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_bench_selftest_riquier():
+    _selftest("riquier")
+
+
+def test_bench_selftest_montecarlo():
+    _selftest("montecarlo")

@@ -170,6 +170,24 @@ def test_simulate_sharded_identical(p4_file, capsys):
     assert doc1["results"]["counts"] == doc4["results"]["counts"]
 
 
+def test_simulate_huge_shard_count(p4_file, capsys):
+    base = ["simulate", p4_file, "--start", "a", "--trials", "500", "--seed", "3"]
+    code, huge = _run_json(capsys, base + ["--shards", "1000000000000"])
+    assert code == 0
+    _, one = _run_json(capsys, base + ["--shards", "1"])
+    assert huge["results"]["counts"] == one["results"]["counts"]
+    assert huge["results"]["steps"] == one["results"]["steps"]
+
+
+def test_simulate_reports_steps(p4_file, capsys):
+    base = ["simulate", p4_file, "--start", "a", "--trials", "200", "--seed", "3"]
+    _, doc = _run_json(capsys, base + ["--max-steps", "2"])
+    assert doc["results"]["steps"] == 2
+    chain = load_chain(p4_file)
+    est = simulate_hitting(chain, SimConfig(trials=200, seed=3, max_steps=2, start="a"))
+    assert doc["results"]["censored"] == est.censored == est.live[-1]
+
+
 def test_check_derivative(p4_file, capsys):
     code, doc = _run_json(capsys, ["check-derivative", p4_file,
                                    "--lambda", "2", "--r", "2", "--h", "1e-4"])
