@@ -32,6 +32,7 @@ from .chain import (
     from_network,
     full_vector,
     nth_boundary,
+    nth_interior,
     sub_chain,
 )
 from .linalg import (

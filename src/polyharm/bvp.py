@@ -3,9 +3,10 @@
 For a resolvent parameter ``lam`` outside the interior spectrum, the
 Green matrix is G(lam) = (lam I - P_int)^-1 and the hitting matrix is
 F(lam) = G(lam) Q.  At lam = 1, F(x, w) is the probability that the walk
-started at x is absorbed at w.  The Dirichlet problem extends boundary
-data harmonically; the order-n Riquier problem solves a tower of n such
-problems, with closed form sum_r G(lam)^r Q g_r.
+started at x is absorbed at w.  :func:`green` only factors
+lam I - P_int; F and G are formed from that LU when first read.  The
+Dirichlet problem is one solve on it, the order-n Riquier tower n, and
+the tower is checked by products with P_int and Q, never with the LU.
 """
 
 from __future__ import annotations
@@ -15,43 +16,70 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import Chain, boundary_vector, full_vector, nth_boundary, sub_chain
+from .chain import Chain, boundary_vector, full_vector, nth_interior, sub_chain
 from .errors import ConsistencyError, LambdaInSpectrum, Singular, TowerMismatch
-from .linalg import LUFactorization, lu_factor, nullspace
+from .linalg import LUFactorization, lu_factor
 
 RESIDUAL_RTOL = 1e-9
 TOWER_TOL = 1e-8
 
 
+def _scale(lam: complex, n: int, *vectors: np.ndarray) -> float:
+    """(1 + |lam|)^n max(1, max|v|).  The rows of |lam I - P| sum to at
+    most 1 + |lam|, so this bounds Delta_lam^n applied to the vectors."""
+    big = max((float(np.abs(v).max()) for v in vectors if v.size), default=0.0)
+    return (1.0 + abs(lam)) ** n * max(big, 1.0)
+
+
 def residual_tol(lam: complex, *vectors: np.ndarray) -> float:
     """Uniform scale-invariant residual tolerance used by all solvers."""
-    scale = max((float(np.abs(v).max()) for v in vectors if v.size), default=0.0)
-    return RESIDUAL_RTOL * (1.0 + abs(lam)) * max(scale, 1.0)
+    return RESIDUAL_RTOL * _scale(lam, 1, *vectors)
+
+
+def _delta_power(p: np.ndarray, q: np.ndarray, lam: complex,
+                 f_int: np.ndarray, f_bnd: np.ndarray, n: int) -> np.ndarray:
+    """Interior rows of Delta_lam^n applied to (f_int, f_bnd): A^n f_int -
+    A^(n-1) Q f_bnd with A = lam I - P_int, by n products with P_int.
+    Vectors or matrices (one column per function) alike."""
+    r = (lam * f_int - p @ f_int) - q @ f_bnd
+    for _ in range(n - 1):
+        r = lam * r - p @ r
+    return r
 
 
 @dataclass(eq=False)
 class GreenMatrix:
     """Green and hitting matrices at a fixed resolvent parameter.
 
-    ``g`` is interior x interior, ``f`` interior x boundary.  The LU
-    factorisation of (lam I - P_int) is kept so that powers of G are
-    applied by repeated back-substitution instead of explicit inverses;
-    the dense ``g`` costs one solve per interior vertex and is formed
-    only when first read.  ``_p`` and ``_q`` are the interior block and
-    the boundary coupling the operator was built from.
+    Holds the LU factorisation of lam I - P_int.  ``f`` (interior x
+    boundary, F = G Q, one solve per boundary vertex) and ``g`` (interior
+    x interior, one solve per interior vertex) are formed from it when
+    first read; :meth:`apply_green` applies powers of G by repeated
+    solves.  ``_p`` and ``_q`` are the interior block and the boundary
+    coupling the operator was built from.
     """
 
     chain: Chain
     lam: complex
-    f: np.ndarray
     _lu: LUFactorization = field(repr=False)
     _p: np.ndarray = field(repr=False)
     _q: np.ndarray = field(repr=False)
 
     @cached_property
+    def f(self) -> np.ndarray:
+        """Hitting matrix F(lam) = G(lam) Q, by back-substitution of Q."""
+        return self._lu.solve(self._q)
+
+    @cached_property
     def g(self) -> np.ndarray:
         """Dense G(lam), by back-substitution of the identity."""
         return self._lu.solve(np.eye(self._p.shape[0], dtype=complex))
+
+    @property
+    def min_pivot_ratio(self) -> float:
+        """Smallest LU pivot over max|lam I - P_int|; lam is refused as
+        spectral at ``PIVOT_RTOL`` or below."""
+        return self._lu.min_pivot_ratio
 
     def apply_green(self, b: np.ndarray, power: int = 1) -> np.ndarray:
         """G(lam)^power @ b via repeated solves."""
@@ -70,9 +98,8 @@ class GreenMatrix:
 
 
 def green(chain: Chain, lam: complex) -> GreenMatrix:
-    """Build the Green/hitting matrices, or raise
-    :class:`LambdaInSpectrum` when ``lam`` sits on the interior
-    spectrum (detected by a pivot failure)."""
+    """Factor lam I - P_int, or raise :class:`LambdaInSpectrum` when
+    ``lam`` sits on the interior spectrum (detected by a pivot failure)."""
     view = sub_chain(chain)
     k = view.p.shape[0]
     a = lam * np.eye(k, dtype=complex) - view.p
@@ -80,8 +107,8 @@ def green(chain: Chain, lam: complex) -> GreenMatrix:
         lu = lu_factor(a)
     except Singular as exc:
         raise LambdaInSpectrum(f"lam = {lam} is in the interior spectrum: {exc}") from exc
-    q = view.q.astype(complex)
-    return GreenMatrix(chain=chain, lam=complex(lam), f=lu.solve(q), _lu=lu, _p=view.p, _q=q)
+    return GreenMatrix(chain=chain, lam=complex(lam), _lu=lu, _p=view.p,
+                       _q=view.q.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -109,6 +136,8 @@ class Solution:
     residuals of the defining equations (max over tower stages for
     Riquier solutions); ``nth_interior`` lists the vertices where the
     order-n operator was verified to annihilate the solution.
+    ``min_pivot_ratio`` is the LU's smallest pivot over max|lam I - P_int|
+    (see :attr:`GreenMatrix.min_pivot_ratio`).
     """
 
     chain: Chain
@@ -119,6 +148,7 @@ class Solution:
     nth_interior: tuple[str, ...]
     tol: float
     tower: list[np.ndarray] | None = None
+    min_pivot_ratio: float | None = None
 
     @property
     def residual_ok(self) -> bool:
@@ -142,89 +172,97 @@ def _assemble(chain: Chain, interior_vals: np.ndarray, boundary_vals: np.ndarray
     return out
 
 
+def _interior_abs(chain: Chain, interior_vals: np.ndarray) -> np.ndarray:
+    """|interior_vals| on the interior rows of a vector over X, 0 elsewhere."""
+    out = np.zeros(chain.n)
+    out[list(chain.interior)] = np.abs(interior_vals)
+    return out
+
+
 def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
     """Unique lam-harmonic extension of the boundary data ``g``.
 
-    Interior values are G(lam) Q g; the boundary values are copied, not
-    solved, so the boundary condition holds exactly.
+    Interior values are G(lam) Q g, one solve on the LU; the boundary
+    values are copied, not solved, so the boundary condition holds
+    exactly.
     """
     gv = boundary_vector(chain, g)
     gm = green(chain, lam)
     h_int = gm.apply_green(gm._q @ gv)
-    defect = (lam * h_int - gm._p @ h_int) - gm._q @ gv
     values = _assemble(chain, h_int, gv)
-    residuals = np.zeros(chain.n)
-    residuals[list(chain.interior)] = np.abs(defect)
     return Solution(
         chain=chain,
         lam=complex(lam),
         order=1,
         values=values,
-        residuals=residuals,
-        nth_interior=tuple(sorted(set(chain.vertices) - nth_boundary(chain, 1))),
+        residuals=_interior_abs(chain, _delta_power(gm._p, gm._q, lam, h_int, gv, 1)),
+        nth_interior=nth_interior(chain, 1),
         tol=residual_tol(lam, values),
+        min_pivot_ratio=gm.min_pivot_ratio,
     )
 
 
 def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     """Solve the order-n tower for the given boundary functions.
 
-    The returned values come from the back-substituted tower
-    f_n, .., f_1; the closed form sum_r G^r Q g_r is evaluated
-    independently through explicit matrix powers and the two routes must
-    agree within ``TOWER_TOL`` (else :class:`TowerMismatch`).
+    One LU and n solves, top equation first: (lam I - P_int) f_n = Q g_n,
+    then (lam I - P_int) f_r = Q g_r + f_{r+1}; the values are f_1 with
+    g_1 on the boundary.  Two checks use P_int and Q, never the LU, so a
+    wrong factorisation cannot confirm itself (else :class:`TowerMismatch`):
+
+    - each stage's residual e = (lam f_r - P_int f_r) - (Q g_r + f_{r+1}),
+      row by row over |lam| |f_r| + P_int |f_r| + Q |g_r| + |f_{r+1}|
+      (the componentwise backward error of Oettli and Prager; Higham,
+      *Accuracy and Stability of Numerical Algorithms*, Thm 7.3), at most
+      ``TOWER_TOL``;
+    - Delta_lam^n of the solution on the n-th interior, at most
+      ``TOWER_TOL`` (1 + |lam|)^n max(1, max|f_r|, max|g_r|): the scale
+      of :func:`residual_tol` with one factor 1 + |lam| per application.
+
+    ``residuals`` holds the largest |e| per vertex over the stages.
     """
     lam = problem.lam
     gs = [boundary_vector(chain, g) for g in problem.boundary_functions]
     n = len(gs)
     gm = green(chain, lam)
-    q = gm._q
+    p, q = gm._p, gm._q
 
-    # tower route, top equation first: (lam I - P_int) f_n = Q g_n,
-    # then (lam I - P_int) f_r = Q g_r + f_{r+1}
-    tower_int: list[np.ndarray] = []
-    rhs_prev = np.zeros(len(chain.interior), dtype=complex)
-    for r in range(n, 0, -1):
-        f_r = gm.apply_green(q @ gs[r - 1] + rhs_prev)
-        tower_int.append(f_r)
-        rhs_prev = f_r
-    tower_int.reverse()  # now indexed f_1 .. f_n
+    stages: list[np.ndarray] = []  # f_n .. f_1 on the interior
+    above = np.zeros(len(chain.interior), dtype=complex)  # f_{r+1}; none above f_n
+    stage_res = np.zeros(len(chain.interior))
+    backward = 0.0
+    for g_r in reversed(gs):
+        f_r = gm.apply_green(q @ g_r + above)
+        res = np.abs(_delta_power(p, q, lam, f_r, g_r, 1) - above)
+        bound = abs(lam) * np.abs(f_r) + p @ np.abs(f_r) + q.real @ np.abs(g_r) + np.abs(above)
+        # a zero bound means every term of that row is exactly zero
+        ratio = np.divide(res, bound, out=np.zeros_like(res), where=bound > 0)
+        backward = max(backward, float(ratio.max()))
+        stage_res = np.maximum(stage_res, res)
+        stages.append(f_r)
+        above = f_r
 
-    # independent closed form with explicit powers of the dense G
-    power = np.eye(len(chain.interior), dtype=complex)
-    closed = np.zeros(len(chain.interior), dtype=complex)
-    for r in range(1, n + 1):
-        power = power @ gm.g
-        closed = closed + power @ (q @ gs[r - 1])
-    dev = float(np.abs(tower_int[0] - closed).max())
-    scale = 1.0 + float(np.abs(tower_int[0]).max())
-    if dev > TOWER_TOL * scale:
+    inner = nth_interior(chain, n)
+    top_res = _interior_abs(chain, _delta_power(p, q, lam, stages[-1], gs[0], n))
+    top = max((top_res[chain.vertex_index(v)] for v in inner), default=0.0)
+    lim_top = TOWER_TOL * _scale(lam, n, *stages, *gs)
+    if backward > TOWER_TOL or top > lim_top:
         raise TowerMismatch(
-            f"closed form and tower disagree by {dev:.3e} (scale {scale:.3e})"
+            f"tower check failed: stage backward error {backward:.3e} (limit {TOWER_TOL:.0e}), "
+            f"order-{n} residual on the n-th interior {top:.3e} (limit {lim_top:.3e})"
         )
 
-    # stage residuals: each f_r must solve its own boundary problem
-    residuals = np.zeros(chain.n)
-    tower_full: list[np.ndarray] = []
-    for r in range(n, 0, -1):
-        f_r = tower_int[r - 1]
-        target = q @ gs[r - 1] + (tower_int[r] if r < n else 0.0)
-        defect = np.abs((lam * f_r - gm._p @ f_r) - target)
-        residuals[list(chain.interior)] = np.maximum(
-            residuals[list(chain.interior)], defect
-        )
-        tower_full.append(_assemble(chain, f_r, gs[r - 1]))
-
-    values = _assemble(chain, tower_int[0], gs[0])
+    values = _assemble(chain, stages[-1], gs[0])
     return Solution(
         chain=chain,
         lam=complex(lam),
         order=n,
         values=values,
-        residuals=residuals,
-        nth_interior=tuple(sorted(set(chain.vertices) - nth_boundary(chain, n))),
+        residuals=_interior_abs(chain, stage_res),
+        nth_interior=inner,
         tol=residual_tol(lam, values),
-        tower=tower_full,  # stages ordered f_n .. f_1
+        tower=[_assemble(chain, f_r, g_r) for f_r, g_r in zip(stages, reversed(gs))],
+        min_pivot_ratio=gm.min_pivot_ratio,
     )
 
 
@@ -260,22 +298,17 @@ def polyharmonic_residual(chain: Chain, lam: complex, f, n: int) -> ResidualRepo
         raise ValueError(f"order must be >= 1, got {n}")
     fv = full_vector(chain, f)
     view = sub_chain(chain)
-    f_int = fv[list(chain.interior)]
-    f_bnd = fv[list(chain.boundary)]
-    r = (lam * f_int - view.p @ f_int) - view.q @ f_bnd
-    for _ in range(n - 1):
-        r = lam * r - view.p @ r
-    residuals = np.zeros(chain.n)
-    residuals[list(chain.interior)] = np.abs(r)
-    inner = tuple(sorted(set(chain.vertices) - nth_boundary(chain, n)))
-    max_inner = max((residuals[chain.vertex_index(v)] for v in inner), default=0.0)
+    r = _delta_power(view.p, view.q, lam, fv[list(chain.interior)], fv[list(chain.boundary)], n)
+    residuals = _interior_abs(chain, r)
+    inner = nth_interior(chain, n)
     return ResidualReport(
         chain=chain,
         lam=complex(lam),
         order=n,
         residuals=residuals,
         nth_interior=inner,
-        max_on_interior=float(max_inner),
+        max_on_interior=float(max((residuals[chain.vertex_index(v)] for v in inner),
+                                  default=0.0)),
         tol=residual_tol(lam, fv),
     )
 
@@ -284,16 +317,12 @@ def delta_matrix(chain: Chain, lam: complex, n: int = 1) -> np.ndarray:
     """Dense |X| x |X| matrix of the order-n operator in vertex order:
     interior rows carry [A^n, -A^(n-1) Q], boundary rows are zero."""
     view = sub_chain(chain)
-    k = view.p.shape[0]
-    a = lam * np.eye(k, dtype=complex) - view.p
-    a_pow = np.eye(k, dtype=complex)
-    for _ in range(n - 1):
-        a_pow = a_pow @ a
-    top_int = a_pow @ a
-    top_bnd = -a_pow @ view.q
+    k, nb = view.q.shape
     out = np.zeros((chain.n, chain.n), dtype=complex)
-    out[np.ix_(chain.interior, chain.interior)] = top_int
-    out[np.ix_(chain.interior, chain.boundary)] = top_bnd
+    out[np.ix_(chain.interior, chain.interior)] = _delta_power(
+        view.p, view.q, lam, np.eye(k), np.zeros((nb, k)), n)
+    out[np.ix_(chain.interior, chain.boundary)] = _delta_power(
+        view.p, view.q, lam, np.zeros((k, nb)), np.eye(nb), n)
     return out
 
 
@@ -301,24 +330,27 @@ def free_polyharmonic_space(chain: Chain, lam: complex, n: int,
                             tol: float = 1e-8) -> list[np.ndarray]:
     """Basis of {f : Delta_lam^n f = 0 on all of X} for resolvent lam.
 
-    Any such f is already lam-harmonic, so the space is spanned by the
-    harmonic extensions of the boundary indicators (the columns of F
-    extended by deltas); its dimension is exactly the boundary size,
-    which is re-verified by a rank computation on the full operator.
+    On the interior Delta_lam^n f = A^(n-1) (A f_int - Q f_bnd) with
+    A = lam I - P_int, which the LU's pivot test certified invertible, so
+    the space is spanned by the harmonic extensions of the boundary
+    indicators (the columns of F extended by deltas) and its dimension is
+    the boundary size.  Each basis vector's residual over ``RESIDUAL_RTOL``
+    (1 + |lam|)^n max(1, max|v|) raises :class:`ConsistencyError`.
+    ``tol``, the rank threshold of an earlier nullspace check, is ignored.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     gm = green(chain, lam)
-    nb = len(chain.boundary)
+    eye = np.eye(len(chain.boundary), dtype=complex)
+    res = np.abs(_delta_power(gm._p, gm._q, lam, gm.f, eye, n)).max(axis=0)
     basis = []
-    for j in range(nb):
-        e = np.zeros(nb, dtype=complex)
-        e[j] = 1.0
-        basis.append(_assemble(chain, gm.f[:, j], e))
-
-    kernel = nullspace(delta_matrix(chain, lam, n), tol)
-    if len(kernel) != nb:
-        raise ConsistencyError(
-            f"order-{n} kernel dimension {len(kernel)} != boundary size {nb}"
-        )
+    for j, w in enumerate(chain.boundary_ids):
+        v = _assemble(chain, gm.f[:, j], eye[j])
+        limit = RESIDUAL_RTOL * _scale(lam, n, v)
+        if res[j] > limit:
+            raise ConsistencyError(
+                f"order-{n} residual {res[j]:.3e} of the basis vector for {w} "
+                f"exceeds {limit:.3e}"
+            )
+        basis.append(v)
     return basis

@@ -316,6 +316,14 @@ def nth_boundary(chain: Chain, n: int) -> frozenset[str]:
     return frozenset(v for v, d in dist.items() if d <= n - 1)
 
 
+def nth_interior(chain: Chain, n: int) -> tuple[str, ...]:
+    """The complement of :func:`nth_boundary`, sorted: the vertices at
+    least n steps from the boundary."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return tuple(sorted(v for v, d in zip(chain.vertices, chain.dist) if d >= n))
+
+
 def sub_chain(chain: Chain) -> SubChainView:
     """Extract the interior block and boundary coupling of the chain."""
     p = chain.trans

@@ -31,7 +31,7 @@ from .formats import (
     load_vector,
     parse_complex,
 )
-from .linalg import CLUSTER_TOL
+from .linalg import CLUSTER_TOL, PIVOT_RTOL
 
 USAGE_ERROR = 2
 
@@ -147,6 +147,17 @@ def cmd_spectrum(args, rep: Report) -> None:
     rep.verdict("spectral_radius_below_one", ispec.rho < 1.0 - spectral.RHO_MARGIN)
 
 
+def _solution_report(rep: Report, sol) -> None:
+    """Residual, smallest pivot ratio, their limits and the verdicts of a
+    solve."""
+    rep.result("min_pivot_ratio", sol.min_pivot_ratio)
+    rep.residual("max_residual", sol.max_residual)
+    rep.tolerance("residual_tol", sol.tol)
+    rep.tolerance("pivot_rtol", PIVOT_RTOL)
+    rep.verdict("solved", True)
+    rep.verdict("residual_within_tol", sol.residual_ok)
+
+
 def cmd_dirichlet(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
@@ -158,10 +169,7 @@ def cmd_dirichlet(args, rep: Report) -> None:
         rep.fail("solved", exc)
         return
     rep.result("values", _vector_result(chain, sol.values))
-    rep.residual("max_residual", sol.max_residual)
-    rep.tolerance("residual_tol", sol.tol)
-    rep.verdict("solved", True)
-    rep.verdict("residual_within_tol", sol.residual_ok)
+    _solution_report(rep, sol)
 
 
 def cmd_riquier(args, rep: Report) -> None:
@@ -178,10 +186,7 @@ def cmd_riquier(args, rep: Report) -> None:
     rep.result("values", _vector_result(chain, sol.values))
     rep.result("order", sol.order)
     rep.result("nth_interior", list(sol.nth_interior))
-    rep.residual("max_residual", sol.max_residual)
-    rep.tolerance("residual_tol", sol.tol)
-    rep.verdict("solved", True)
-    rep.verdict("residual_within_tol", sol.residual_ok)
+    _solution_report(rep, sol)
 
 
 def cmd_global_basis(args, rep: Report) -> None:

@@ -76,37 +76,61 @@ def _require(doc: Mapping, key: str, path: str):
     return doc[key]
 
 
+def _list(doc: Mapping, key: str, path: str) -> list:
+    val = _require(doc, key, path)
+    if not isinstance(val, list):
+        raise FormatError(f"{path}: {key!r} must be a list, got {type(val).__name__}")
+    return val
+
+
+def _bad_edge(path: str, i: int, e, key: str | None = None) -> FormatError:
+    """Edge ``i`` is not an object, or (with ``key``) its weight under
+    ``key`` is not a JSON number: ``true`` and ``"0.5"`` are refused."""
+    if key is None:
+        return FormatError(f"{path}: edge {i} must be an object, got {e!r}")
+    return FormatError(f"{path}: edge {i}: {key!r} must be a number, got {e[key]!r}")
+
+
 def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
-    vertices = _require(doc, "vertices", path)
-    boundary = _require(doc, "boundary", path)
-    edges = _require(doc, "edges", path)
-    index = {str(v): i for i, v in enumerate(vertices)}
+    vertices = [str(v) for v in _list(doc, "vertices", path)]
+    boundary_set = {str(w) for w in _list(doc, "boundary", path)}
+    index = {v: i for i, v in enumerate(vertices)}
     n = len(index)
+    if n != len(vertices):
+        dup = sorted({v for v in vertices if vertices.count(v) > 1})
+        raise FormatError(f"{path}: duplicate vertex ids {dup}")
+    unknown = boundary_set - index.keys()
+    if unknown:
+        raise FormatError(f"{path}: boundary ids not in the vertex list: {sorted(unknown)}")
     trans = np.zeros((n, n))
-    boundary_set = {str(w) for w in boundary}
-    for e in edges:
+    for i, e in enumerate(_list(doc, "edges", path)):
+        if not isinstance(e, dict):
+            raise _bad_edge(path, i, e)
         u, v = str(_require(e, "from", path)), str(_require(e, "to", path))
         if u not in index or v not in index:
             raise FormatError(f"{path}: edge {u!r}->{v!r} uses unknown vertex")
         if u in boundary_set:
             raise FormatError(f"{path}: boundary vertex {u!r} must not have explicit edges")
-        trans[index[u], index[v]] += float(_require(e, "p", path))
+        p = _require(e, "p", path)
+        if type(p) not in (int, float):
+            raise _bad_edge(path, i, e, "p")
+        trans[index[u], index[v]] += p
     for w in boundary_set:
         trans[index[w], index[w]] = 1.0
-    interior = [str(v) for v in vertices if str(v) not in boundary_set]
-    return build_chain([str(v) for v in vertices], interior, sorted(boundary_set), trans)
+    interior = [v for v in vertices if v not in boundary_set]
+    return build_chain(vertices, interior, sorted(boundary_set), trans)
 
 
 def network_from_doc(doc: Mapping, path: str = "network") -> Network:
-    boundary = _require(doc, "boundary", path)
-    edges = _require(doc, "edges", path)
+    boundary = _list(doc, "boundary", path)
     parsed = []
-    for e in edges:
-        parsed.append((
-            str(_require(e, "u", path)),
-            str(_require(e, "v", path)),
-            float(_require(e, "a", path)),
-        ))
+    for i, e in enumerate(_list(doc, "edges", path)):
+        if not isinstance(e, dict):
+            raise _bad_edge(path, i, e)
+        a = _require(e, "a", path)
+        if type(a) not in (int, float):
+            raise _bad_edge(path, i, e, "a")
+        parsed.append((str(_require(e, "u", path)), str(_require(e, "v", path)), float(a)))
     return build_network(parsed, [str(w) for w in boundary])
 
 
@@ -119,8 +143,8 @@ def load_chain(path: str) -> Chain:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
-    edges = doc.get("edges", [])
-    if edges and isinstance(edges[0], dict) and "a" in edges[0]:
+    edges = doc.get("edges")
+    if isinstance(edges, list) and edges and isinstance(edges[0], dict) and "a" in edges[0]:
         return from_network(network_from_doc(doc, path))
     return chain_from_doc(doc, path)
 

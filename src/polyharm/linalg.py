@@ -59,6 +59,12 @@ class LUFactorization:
     perm: np.ndarray
     scale: float
 
+    @property
+    def min_pivot_ratio(self) -> float:
+        """min |u_kk| / max|A|: the number the :class:`Singular` test
+        compares with ``pivot_rtol``.  Small means A is nearly singular."""
+        return float(np.abs(np.diagonal(self.lu)).min()) / self.scale
+
     def solve(self, b) -> np.ndarray:
         """Back-substitute for one or many right-hand sides.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvp import GreenMatrix, Solution, green, polyharmonic_residual, residual_tol
-from .chain import Chain, boundary_vector, nth_boundary
+from .chain import Chain, boundary_vector
 from .errors import NotInResStar
 
 RES_STAR_RTOL = 1e-12
@@ -128,8 +128,9 @@ def riquier_via_kernels(chain: Chain, lam: complex, origin: str, gs) -> Solution
         order=n,
         values=values,
         residuals=report.residuals,
-        nth_interior=tuple(sorted(set(chain.vertices) - nth_boundary(chain, n))),
+        nth_interior=report.nth_interior,
         tol=residual_tol(lam, values),
+        min_pivot_ratio=gm.min_pivot_ratio,
     )
 
 

@@ -138,3 +138,50 @@ def span_projector(vectors) -> np.ndarray:
     keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.abs(r).max()))
     q = q[:, keep]
     return q @ q.conj().T
+
+
+def tower_oracle(chain: Chain, lam: complex, gs) -> list[np.ndarray]:
+    """Stages f_1 .. f_n of the order-n tower on the interior, from one
+    ``numpy.linalg.solve`` of the assembled n*k block-bidiagonal system
+
+        [A -I          ] [f_1]   [Q g_1]
+        [   A -I       ] [f_2] = [Q g_2]
+        [      ...     ] [...]   [ ... ]
+        [            A ] [f_n]   [Q g_n],   A = lam I - P_int,
+
+    built from the transition matrix alone, so the package's LU plays no
+    part in it."""
+    ii, bb = list(chain.interior), list(chain.boundary)
+    p, q = chain.trans[np.ix_(ii, ii)], chain.trans[np.ix_(ii, bb)]
+    k, n = len(ii), len(gs)
+    big = np.zeros((n * k, n * k), dtype=complex)
+    rhs = np.zeros(n * k, dtype=complex)
+    for r in range(n):
+        rows = slice(r * k, (r + 1) * k)
+        big[rows, rows] = lam * np.eye(k) - p
+        if r + 1 < n:
+            big[rows, (r + 1) * k:(r + 2) * k] = -np.eye(k)
+        rhs[rows] = q @ np.asarray(gs[r], dtype=complex)
+    x = np.linalg.solve(big, rhs)
+    return [x[r * k:(r + 1) * k] for r in range(n)]
+
+
+def oracle_problems(sol, chain: Chain, lam: complex, gs, rel: float = 1e-8) -> list[str]:
+    """Where a Riquier or Dirichlet solution departs from
+    :func:`tower_oracle`: its values, and every stage of ``sol.tower``
+    when it has one, each within rel * (1 + max|oracle|)."""
+    want = tower_oracle(chain, lam, gs)
+    ii, bb = list(chain.interior), list(chain.boundary)
+    pairs = [("values", sol.values[ii], want[0]),
+             ("boundary values", sol.values[bb], np.asarray(gs[0], dtype=complex))]
+    if sol.tower is not None:  # stages f_n .. f_1 on all of X
+        pairs += [(f"stage f_{r}", full[ii], want[r - 1])
+                  for r, full in zip(range(len(gs), 0, -1), sol.tower)]
+    out = []
+    for what, got, ref in pairs:
+        dev = float(np.abs(got - ref).max())
+        if not dev <= rel * (1.0 + float(np.abs(ref).max())):
+            out.append(f"{what} off by {dev:.3e}")
+    if sol.tower is not None and len(sol.tower) != len(gs):
+        out.append(f"{len(sol.tower)} stages for order {len(gs)}")
+    return out

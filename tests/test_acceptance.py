@@ -33,6 +33,7 @@ from polyharm.martin import derivative_identity_check
 from polyharm.tree import audit_binomial_identities, boundary_kernel
 
 from conftest import (
+    oracle_problems,
     random_chain,
     random_resolvent_point,
     random_section,
@@ -104,8 +105,8 @@ def test_criterion_03_riquier_golden():
         np.zeros(2, dtype=complex), np.array([1.0, 0.0], dtype=complex))), c)
     expect = {"w1": 0.0, "a": 10 / 9, "b": 8 / 9, "w2": 0.0}
     ok = all(abs(sol.value(v) - x) <= 1e-12 for v, x in expect.items())
-    # tower vs closed form on 100 random instances (raises TowerMismatch
-    # beyond 1e-8 internally; run them all)
+    # 100 random instances: the solver's own tower checks (TowerMismatch
+    # beyond 1e-8) and numpy on the assembled n*k block system
     rng = np.random.default_rng(303)
     for _ in range(100):
         ch = random_chain(rng)
@@ -114,8 +115,9 @@ def test_criterion_03_riquier_golden():
         n = int(rng.integers(1, 5))
         gs = tuple(rng.standard_normal(len(ch.boundary))
                    + 1j * rng.standard_normal(len(ch.boundary)) for _ in range(n))
-        solve_riquier(RiquierProblem(lam, gs), ch)
-    _report(3, "riquier-golden + tower/closed-form agreement", ok)
+        sol = solve_riquier(RiquierProblem(lam, gs), ch)
+        ok = ok and oracle_problems(sol, ch, lam, gs) == []
+    _report(3, "riquier-golden + tower checks + numpy block-system oracle", ok)
 
 
 def test_criterion_04_polyharmonic_locality():

@@ -1,8 +1,9 @@
-"""Runs the benchmark's self-test on the ``riquier`` and ``montecarlo``
-workloads: every solver answer up to interior size 300 and every
-simulation checked against the benchmark's numpy oracle (z-scores, the
-first-visit series, one shard against three bit for bit), and every
-check shown to reject a perturbed answer."""
+"""Runs the benchmark's self-test on the ``riquier``, ``montecarlo`` and
+``cli`` workloads: every solver answer up to interior size 300, every
+simulation (z-scores, the first-visit series, one shard against three
+bit for bit) and every CLI report (``polyharm --json`` subprocesses up
+to interior size 390) checked against the benchmark's numpy oracle, and
+every check shown to reject a perturbed answer."""
 
 import subprocess
 import sys
@@ -23,3 +24,7 @@ def test_bench_selftest_riquier():
 
 def test_bench_selftest_montecarlo():
     _selftest("montecarlo")
+
+
+def test_bench_selftest_cli():
+    _selftest("cli")

@@ -3,6 +3,8 @@ import pytest
 
 from polyharm import (
     RiquierProblem,
+    build_chain,
+    bvp,
     delta_matrix,
     free_polyharmonic_space,
     green,
@@ -10,9 +12,10 @@ from polyharm import (
     solve_dirichlet,
     solve_riquier,
 )
-from polyharm.errors import LambdaInSpectrum
+from polyharm.errors import ConsistencyError, LambdaInSpectrum, TowerMismatch
+from polyharm.linalg import PIVOT_RTOL, LUFactorization
 
-from conftest import random_chain, random_resolvent_point
+from conftest import oracle_problems, random_chain, random_resolvent_point
 
 
 # ----------------------------------------------------------------- green
@@ -155,6 +158,102 @@ def test_riquier_tower_vs_closed_random():
         )
         sol = solve_riquier(RiquierProblem(lam, gs), c)  # raises TowerMismatch on fail
         assert sol.residual_ok
+        assert oracle_problems(sol, c, lam, gs) == []
+
+
+@pytest.mark.parametrize("size", [50, 150, 300])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_riquier_against_block_system(size, order):
+    """Values and every stage against numpy on the assembled n*k system,
+    at interior sizes up to about 290; order 1 also through Dirichlet."""
+    rng = np.random.default_rng(size + order)
+    c = random_chain(rng, size=size)
+    lam = random_resolvent_point(rng, rho=1.0)
+    gs = tuple(rng.standard_normal(len(c.boundary)) + 1j * rng.standard_normal(len(c.boundary))
+               for _ in range(order))
+    assert oracle_problems(solve_riquier(RiquierProblem(lam, gs), c), c, lam, gs) == []
+    if order == 1:
+        assert oracle_problems(solve_dirichlet(c, lam, gs[0]), c, lam, gs) == []
+
+
+def test_riquier_on_a_long_path_checks_the_nth_interior():
+    """On a 40-vertex path with random steps the n-th interior is not
+    empty, so the order-n check has rows to test."""
+    rng = np.random.default_rng(44)
+    m = 40
+    names = ["w0"] + [f"x{i}" for i in range(1, m - 1)] + ["w1"]
+    trans = np.zeros((m, m))
+    trans[0, 0] = trans[m - 1, m - 1] = 1.0
+    for i in range(1, m - 1):
+        stay, left = 0.2 * rng.random(), 0.3 + 0.4 * rng.random()
+        trans[i, i - 1:i + 2] = left * (1 - stay), stay, (1 - left) * (1 - stay)
+    c = build_chain(names, names[1:-1], ["w0", "w1"], trans)
+    for order in (1, 2, 3, 4):
+        gs = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(order))
+        lam = 1.2 - 0.3j
+        sol = solve_riquier(RiquierProblem(lam, gs), c)
+        assert len(sol.nth_interior) == m - 2 * order
+        assert oracle_problems(sol, c, lam, gs) == []
+        assert polyharmonic_residual(c, lam, sol.values, order).ok
+
+
+def _perturb_one_pivot(monkeypatch):
+    """Every LU from now on has its smallest pivot scaled by 1 + 1e-6."""
+    factor = bvp.lu_factor
+
+    def perturbed(a):
+        fac = factor(a)
+        k = int(np.argmin(np.abs(np.diagonal(fac.lu))))
+        fac.lu[k, k] *= 1 + 1e-6
+        return fac
+
+    monkeypatch.setattr(bvp, "lu_factor", perturbed)
+
+
+def _skip_last_solve(monkeypatch, order):
+    """The order-th back-substitution, the one giving f_1, returns its
+    right-hand side unsolved."""
+    solve, calls = LUFactorization.solve, [0]
+
+    def skipping(self, b):
+        calls[0] += 1
+        return np.array(b, dtype=complex) if calls[0] == order else solve(self, b)
+
+    monkeypatch.setattr(LUFactorization, "solve", skipping)
+
+
+@pytest.mark.parametrize("fault", ["pivot", "skipped_solve"])
+@pytest.mark.parametrize("size", [12, 40, 150, 300])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_riquier_checks_catch_lu_faults(monkeypatch, fault, size, order):
+    """The tower checks use P and Q, not the LU, so a wrong factorisation
+    or a missing solve cannot pass them."""
+    rng = np.random.default_rng(size)
+    c = random_chain(rng, size=size)
+    gs = tuple(rng.standard_normal(len(c.boundary)) + 1j * rng.standard_normal(len(c.boundary))
+               for _ in range(order))
+    if fault == "pivot":
+        _perturb_one_pivot(monkeypatch)
+    else:
+        _skip_last_solve(monkeypatch, order)
+    with pytest.raises(TowerMismatch, match="stage backward error"):
+        solve_riquier(RiquierProblem(1.4 + 0.2j, gs), c)
+
+
+def test_min_pivot_ratio_tracks_distance_to_spectrum():
+    c = random_chain(np.random.default_rng(0), size=300)
+    p_int = c.trans[np.ix_(c.interior, c.interior)]
+    ev = np.linalg.eigvals(p_int)
+    rho = float(ev[np.argmax(ev.real)].real)
+    g = np.ones(len(c.boundary))
+    near, nearer = (solve_dirichlet(c, rho + d, g).min_pivot_ratio for d in (1e-6, 1e-9))
+    # measured 3.1e-4 and 3.1e-7: the smallest pivot shrinks with the distance
+    assert 300 < near / nearer < 3000
+    assert nearer > PIVOT_RTOL
+    gm = green(c, rho + 1e-9)
+    lu = gm._lu
+    assert gm.min_pivot_ratio == lu.min_pivot_ratio == \
+        np.abs(np.diagonal(lu.lu)).min() / lu.scale == nearer
 
 
 # ---------------------------------------------------- residual reporting
@@ -225,3 +324,31 @@ def test_free_space_n1_matches_dirichlet_image(p4):
         g = {w: float(i == j) for i, w in enumerate(p4.boundary_ids)}
         sol = solve_dirichlet(p4, 1.0, g)
         assert np.abs(v - sol.values).max() <= 1e-12
+
+
+def test_free_space_size300_against_numpy(monkeypatch):
+    """One rank decision: the LU's.  No dense operator power, no
+    nullspace; the basis is F against numpy and each vector's residual
+    is small."""
+    def refused(*args, **kwargs):
+        raise AssertionError("free_polyharmonic_space made a second rank decision")
+
+    monkeypatch.setattr(bvp, "delta_matrix", refused)
+    c = random_chain(np.random.default_rng(0), size=300)
+    ii, bb = list(c.interior), list(c.boundary)
+    lam = 1.0
+    f = np.linalg.solve(lam * np.eye(len(ii)) - c.trans[np.ix_(ii, ii)], c.trans[np.ix_(ii, bb)])
+    basis = free_polyharmonic_space(c, lam, 2)
+    assert len(basis) == len(bb) == 85
+    for j, v in enumerate(basis):
+        assert np.abs(v[ii] - f[:, j]).max() <= 1e-10
+        assert np.array_equal(v[bb], np.eye(len(bb))[j])
+        rep = polyharmonic_residual(c, lam, v, 2)
+        assert rep.residuals.max() <= rep.tol
+
+
+def test_free_space_refuses_a_wrong_basis(monkeypatch, p4):
+    wrong = property(lambda self: self._lu.solve(self._q) * (1 + 1e-6))
+    monkeypatch.setattr(bvp.GreenMatrix, "f", wrong)
+    with pytest.raises(ConsistencyError, match="order-2 residual"):
+        free_polyharmonic_space(p4, 1.5, 2)

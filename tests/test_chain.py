@@ -7,6 +7,7 @@ from polyharm import (
     build_network,
     from_network,
     nth_boundary,
+    nth_interior,
     sub_chain,
 )
 from polyharm.errors import (
@@ -271,3 +272,15 @@ def test_boundary_search_runs_once_per_chain(monkeypatch):
 def test_nth_boundary_rejects_bad_order(p4):
     with pytest.raises(ValueError):
         nth_boundary(p4, 0)
+
+
+def test_nth_interior_is_the_complement_of_nth_boundary():
+    rng = np.random.default_rng(62)
+    chains = [random_chain(np.random.default_rng(n), size=n) for n in (2, 9, 40)]
+    chains += [_sparse_chain(rng, n) for n in (5, 20, 60)]
+    for c in chains:
+        for n in range(1, max(c.dist) + 2):
+            assert nth_interior(c, n) == tuple(sorted(set(c.vertices) - nth_boundary(c, n)))
+        assert nth_interior(c, max(c.dist) + 1) == ()
+    with pytest.raises(ValueError):
+        nth_interior(chains[0], 0)

@@ -325,3 +325,50 @@ def test_simulate_huge_step_cap(p4_file, capsys):
             for cap in (10**9, 10**4))
     for field in ("counts", "first_visit", "occupancy"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def _p4_with(**changes):
+    doc = json.loads(json.dumps(P4_DOC))
+    doc.update(changes)
+    return doc
+
+
+_EDGES = P4_DOC["edges"]
+MALFORMED = {
+    "edge_is_a_string": _p4_with(edges=["from a to w1"] + _EDGES[1:]),
+    "edges_a_number": _p4_with(edges=5),
+    "edges_an_object": _p4_with(edges={"0": _EDGES[0]}),
+    "vertices_a_number": _p4_with(vertices=4),
+    "boundary_a_number": _p4_with(boundary=3),
+    "boundary_id_not_a_vertex": _p4_with(boundary=["w1", "w2", "zz"]),
+    "p_null": _p4_with(edges=[{**_EDGES[0], "p": None}] + _EDGES[1:]),
+    "p_a_list": _p4_with(edges=[{**_EDGES[0], "p": [0.5]}] + _EDGES[1:]),
+    "p_a_string": _p4_with(edges=[{**_EDGES[0], "p": "0.5"}] + _EDGES[1:]),
+    "p_true": _p4_with(edges=[{**_EDGES[0], "p": True}, {**_EDGES[1], "p": False}]
+                       + _EDGES[2:]),
+    "network_a_null": {"boundary": ["w1", "w2"],
+                       "edges": [{"u": "w1", "v": "a", "a": 1.0},
+                                 {"u": "a", "v": "w2", "a": None}]},
+    "duplicate_vertex_ids": _p4_with(vertices=["w1", "a", "b", "w2", "a"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_chain_file_exit2(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["dirichlet", "riquier"])
+def test_solver_report_shows_min_pivot_ratio(command, p4_file, tmp_path, capsys):
+    g = _g(tmp_path, "g.json", {"w1": 1.0, "w2": 0.0})
+    code, doc = _run_json(capsys, [command, p4_file, "--lambda", "1", "--g", g])
+    assert code == 0
+    # lam I - P_int = [[1, -1/2], [-1/2, 1]]: pivots 1 and 3/4, max entry 1
+    assert doc["results"]["min_pivot_ratio"] == pytest.approx(0.75, abs=1e-15)
+    assert doc["tolerances"]["pivot_rtol"] == 1e-12

@@ -147,6 +147,24 @@ def test_one_factorisation_and_no_dense_green(lu_counts):
         assert lu_counts["columns"] <= most < len(c.interior)
 
 
+def test_one_solve_per_stage(lu_counts, monkeypatch):
+    """A Dirichlet solve is one right-hand side and an order-n tower n;
+    neither forms F (nb columns) nor the dense G."""
+    def no_dense_green(self):
+        raise AssertionError("the dense G was read")
+
+    monkeypatch.setattr(bvp.GreenMatrix, "g", property(no_dense_green))
+    c = random_chain(np.random.default_rng(9), size=60)
+    nb, lam = len(c.boundary), 1.3 - 0.4j
+    gs = [np.arange(nb, dtype=float) + r for r in range(3)]
+    for solve, columns in [(lambda: bvp.solve_dirichlet(c, lam, gs[0]), 1)] + [
+            ((lambda n=n: bvp.solve_riquier(bvp.RiquierProblem(lam, tuple(gs[:n])), c)), n)
+            for n in (1, 2, 3)]:
+        lu_counts["factor"] = lu_counts["columns"] = 0
+        solve()
+        assert (lu_counts["factor"], lu_counts["columns"]) == (1, columns)
+
+
 # ------------------------------------------------------------- nullspace
 
 def test_nullspace_full_rank_empty():
