@@ -40,6 +40,14 @@ class InputError(Exception):
     """Malformed input; exits with code 2."""
 
 
+def _scalar(text: str, flag: str) -> complex:
+    """:func:`parse_complex`, naming the flag the text came from."""
+    try:
+        return parse_complex(text)
+    except FormatError as exc:
+        raise FormatError(f"{flag}: {exc}") from None
+
+
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -161,7 +169,7 @@ def _solution_report(rep: Report, sol) -> None:
 def cmd_dirichlet(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
     g = load_vector(args.g)
     try:
         sol = bvp.solve_dirichlet(chain, lam, g)
@@ -175,7 +183,7 @@ def cmd_dirichlet(args, rep: Report) -> None:
 def cmd_riquier(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
     gs = [load_vector(p) for p in args.g]
     try:
         sol = bvp.solve_riquier(bvp.RiquierProblem(lam, tuple(
@@ -192,7 +200,7 @@ def cmd_riquier(args, rep: Report) -> None:
 def cmd_global_basis(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
     rep.tolerance("cluster_tol", CLUSTER_TOL)
     try:
         if abs(lam - 1.0) <= CLUSTER_TOL:
@@ -212,7 +220,7 @@ def cmd_global_basis(args, rep: Report) -> None:
 def cmd_martin(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
     try:
         mk = martin.martin_kernel(chain, lam, args.origin, n=args.order)
     except PolyharmError as exc:
@@ -246,7 +254,7 @@ def cmd_simulate(args, rep: Report) -> None:
     rep.result("steps", est.steps)
     rep.verdict("censoring_below_1e-3", not est.censor_flagged)
     if args.compare:
-        lam = parse_complex(args.compare_lambda)
+        lam = _scalar(args.compare_lambda, "--compare-lambda")
         try:
             gm = bvp.green(chain, lam)
         except PolyharmError as exc:
@@ -272,7 +280,7 @@ def cmd_simulate(args, rep: Report) -> None:
 def cmd_check_derivative(args, rep: Report) -> None:
     chain = load_chain(args.chain)
     rep.digest(args.chain)
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
     h = args.h if args.h is not None else 1e-4 * (1 + abs(lam))
     rep.tolerance("step", h)
     limit = args.limit if args.limit is not None else max(1e-6, 100.0 * h * h)
@@ -296,7 +304,7 @@ def cmd_tree(args, rep: Report) -> None:
     tree, stored_section = load_tree(args.tree)
     rep.digest(args.tree)
     section = args.section.split(",") if args.section else stored_section
-    lam = parse_complex(args.lam)
+    lam = _scalar(args.lam, "--lambda")
 
     if args.subop in ("green", "kr", "identity-check") and not section:
         raise InputError("this tree operation needs a section "

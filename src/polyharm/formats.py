@@ -21,25 +21,39 @@ class FormatError(ValueError):
     """Malformed input document."""
 
 
+def _finite(z: complex, what) -> complex:
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise FormatError(f"{what!r} is not a finite number")
+    return z
+
+
 def parse_complex(text: str) -> complex:
-    """Parse a CLI scalar: ``RE`` or ``RE,IM``."""
+    """Parse a CLI scalar: ``RE`` or ``RE,IM``, both finite."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*map(float, parts)) if len(parts) in (1, 2) else None
     except ValueError:
-        pass
-    raise FormatError(f"cannot parse complex scalar {text!r} (want RE or RE,IM)")
+        z = None
+    if z is None:
+        raise FormatError(f"cannot parse complex scalar {text!r} (want RE or RE,IM)")
+    return _finite(z, text)
+
+
+def _is_number(x) -> bool:
+    """A JSON number: ``true`` and ``false`` are not, although Python's
+    ``bool`` is an ``int``."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def value_to_complex(v: Any) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
+    """A finite number or ``[re, im]`` pair as a complex scalar."""
+    try:
+        if _is_number(v):
+            return _finite(complex(v), v)
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
+            return _finite(complex(v[0], v[1]), v)
+    except OverflowError:  # an integer beyond the float range
+        raise FormatError(f"{v!r} is not a finite number") from None
     raise FormatError(f"cannot read {v!r} as a number or [re, im] pair")
 
 
@@ -210,4 +224,10 @@ def load_vector(path: str) -> dict[str, complex]:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: vector file must be an object")
-    return {str(k): value_to_complex(v) for k, v in doc.items()}
+    out = {}
+    for k, v in doc.items():
+        try:
+            out[str(k)] = value_to_complex(v)
+        except FormatError as exc:
+            raise FormatError(f"{path}: value of {k!r}: {exc}") from None
+    return out

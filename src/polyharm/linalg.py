@@ -5,7 +5,12 @@ module rather than delegated to LAPACK: the solvers need full control
 over pivot thresholds, because "singular" is a semantic signal (the
 resolvent parameter hit the spectrum), not just a numerical accident.
 So the LU (:func:`lu_factor`, threshold ``PIVOT_RTOL``) and the
-rank-revealing nullspace (:func:`nullspace_info`) are ours.
+rank-revealing nullspace (:func:`nullspace_info`) are ours: pivot
+search, threshold and rank.  The complete-pivot elimination behind the
+nullspace runs on a stack of matrices at once, each with its own pivots,
+threshold and stopping step, so a caller with many rank questions of one
+size asks them in one batch.  Steps that decide nothing are LAPACK's:
+the Householder QR that orthonormalises a kernel basis.
 
 Eigenvalues carry no such meaning and come from LAPACK
 (``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
@@ -178,72 +183,103 @@ class EchelonInfo:
         return self.smallest_kept / self.largest_dropped
 
 
+def _echelon(stack: np.ndarray, tol: float) -> tuple[np.ndarray, list[EchelonInfo]]:
+    """Gaussian elimination with complete pivoting on every matrix of a
+    (B, r, c) stack at once, in place.
+
+    Each matrix keeps its own pivot search, its own threshold
+    ``tol * max|A_b|`` and its own stopping step: it leaves the stack when
+    its largest remaining entry is at or below its threshold, and the
+    others go on without it.  On return the first ``rank`` rows of each
+    matrix hold its U factor with columns in ``perms[b]`` order (the
+    entries below U are not cleared).  Returns ``perms`` (B, c) and one
+    :class:`EchelonInfo` per matrix.
+    """
+    nb, nr, nc = stack.shape
+    steps = min(nr, nc)
+    thresh = tol * np.abs(stack).max(axis=(1, 2), initial=0.0)
+    perms = np.tile(np.arange(nc), (nb, 1))
+    piv = np.zeros((nb, steps))
+    dropped = np.zeros(nb)
+    rank = np.full(nb, steps)
+    # the matrices still eliminating, their stack positions and thresholds
+    work, ids, th, at = stack, np.arange(nb), thresh, np.arange(nb)
+    for k in range(steps):
+        sub = np.abs(work[:, k:, k:]).reshape(len(ids), (nr - k) * (nc - k))
+        flat = sub.argmax(axis=1)
+        mag = sub[at, flat]
+        stop = mag <= th
+        if stop.any():
+            done = ids[stop]
+            dropped[done] = mag[stop]
+            rank[done] = k
+            if work is not stack:
+                stack[done] = work[stop]
+            go = ~stop
+            work, ids, th, flat, mag = work[go], ids[go], th[go], flat[go], mag[go]
+            at = np.arange(len(ids))
+            if not ids.size:
+                break
+        piv[ids, k] = mag
+        i, j = np.divmod(flat, nc - k)
+        i += k
+        j += k
+        row = work[at, i]
+        work[at, i] = work[:, k]
+        work[:, k] = row
+        col = work[at, :, j]
+        work[at, :, j] = work[:, :, k]
+        work[:, :, k] = col
+        perms[ids, k], perms[ids, j] = perms[ids, j], perms[ids, k]
+        mult = work[:, k + 1:, k] / work[:, k, k, None]
+        work[:, k + 1:, k + 1:] -= mult[:, :, None] * work[:, k, None, k + 1:]
+    if work is not stack:
+        stack[ids] = work
+    infos = [
+        EchelonInfo(
+            rank=int(r),
+            pivots=piv[b, :r].copy(),
+            smallest_kept=float(piv[b, r - 1]) if r else 0.0,
+            largest_dropped=float(dropped[b]),
+            threshold=float(thresh[b]),
+        )
+        for b, r in enumerate(rank)
+    ]
+    return perms, infos
+
+
 def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
     """Orthonormal kernel basis plus the pivot diagnostics that justified
     the rank decision.
 
-    Elimination is Gaussian with complete (row and column) pivoting; the
-    rank threshold is ``tol * max|A|``.  Kernel vectors come from
-    back-substitution on the free columns and are then orthonormalised.
+    The rank decision is ours: Gaussian elimination with complete (row
+    and column) pivoting, the stack-of-one case of the batched
+    elimination, stopping at the first pivot at or below
+    ``tol * max|A|``.  Kernel vectors come from one back-substitution
+    that carries every free column at once; LAPACK's Householder QR then
+    orthonormalises them, with each column's phase set so the basis is
+    the Gram-Schmidt basis of the same vectors.  The QR makes no rank
+    decision: the vectors are independent by construction.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     m = as_matrix(a)
-    nr, nc = m.shape
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    thresh = tol * scale
-    col_perm = np.arange(nc)
-    piv_mags: list[float] = []
-    rank = 0
-    largest_dropped = 0.0
-    for k in range(min(nr, nc)):
-        sub = np.abs(m[k:, k:])
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, nc - k)
-        mag = float(sub[i, j])
-        if mag <= thresh:
-            largest_dropped = mag
-            break
-        i += k
-        j += k
-        if i != k:
-            m[[k, i]] = m[[i, k]]
-        if j != k:
-            m[:, [k, j]] = m[:, [j, k]]
-            col_perm[[k, j]] = col_perm[[j, k]]
-        piv_mags.append(mag)
-        rank += 1
-        m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
-
-    info = EchelonInfo(
-        rank=rank,
-        pivots=np.array(piv_mags),
-        smallest_kept=piv_mags[-1] if piv_mags else 0.0,
-        largest_dropped=largest_dropped,
-        threshold=thresh,
-    )
-
-    basis: list[np.ndarray] = []
-    u = m[:rank, :]
-    for j in range(rank, nc):
-        y = np.zeros(nc, dtype=complex)
-        y[j] = 1.0
-        # back-substitute U[:, :rank] x = -U[:, j]
-        rhs = -u[:, j].copy()
-        for k in range(rank - 1, -1, -1):
-            y[k] = (rhs[k] - u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]
-        v = np.zeros(nc, dtype=complex)
-        v[col_perm] = y
-        basis.append(v)
-
-    ortho: list[np.ndarray] = []
-    for v in basis:  # modified Gram-Schmidt
-        for u_prev in ortho:
-            v = v - (u_prev.conj() @ v) * u_prev
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            ortho.append(v / nrm)
-    return ortho, info
+    nc = m.shape[1]
+    perms, (info,) = _echelon(m[None], tol)
+    rank = info.rank
+    if rank == nc:
+        return [], info
+    u = m[:rank]
+    y = np.zeros((nc, nc - rank), dtype=complex)
+    y[rank:] = np.eye(nc - rank)
+    for k in range(rank - 1, -1, -1):  # U[:, :rank] Y = -U[:, rank:]
+        y[k] = -(u[k, rank:] + u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]
+    v = np.empty_like(y)
+    v[perms[0]] = y
+    q, r = np.linalg.qr(v)
+    d = np.diagonal(r)
+    q *= d / np.abs(d)
+    return list(q.T.copy()), info
 
 
 def nullspace(a, tol: float) -> list[np.ndarray]:

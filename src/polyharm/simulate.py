@@ -197,7 +197,9 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
 
     ``shards`` only partitions the work; results are identical for any
     value because every trial consumes its own counter-indexed substream.
-    More shards than trials are not made: every shard holds a trial.
+    The shards run one after another in this process, not in parallel,
+    so more shards only add per-shard overhead.  More shards than trials
+    are not made: every shard holds a trial.
     Trajectories still alive after ``max_steps`` are counted as censored
     (exponentially rare on a valid chain).
     """

@@ -21,7 +21,7 @@ from .errors import (
     ReportedViolation,
     SpectralRadiusViolation,
 )
-from .linalg import CLUSTER_TOL, Spectrum, eigenvalues, nullspace_info
+from .linalg import CLUSTER_TOL, Spectrum, _echelon, eigenvalues, nullspace_info
 
 RHO_MARGIN = 1e-10
 JORDAN_TOL = 1e-8
@@ -164,34 +164,33 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
         )
     depth = len(levels)
 
-    def project_out(v: np.ndarray, span: list[np.ndarray]) -> np.ndarray:
-        for u in span:
-            v = v - (u.conj() @ v) * u
+    def project_out(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # classical Gram-Schmidt against the orthonormal columns of q, twice
+        for _ in range(2):
+            v = v - q @ (q.conj().T @ v)
         return v
 
     # pick chain tops level by level, longest chains first
     chains_int: list[list[np.ndarray]] = []
     carried: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
     for k in range(depth, 0, -1):
-        blockers: list[np.ndarray] = []
-        for u in (levels[k - 2] if k >= 2 else []):
-            blockers.append(u)
+        blockers = np.array(levels[k - 2] if k >= 2 else [], dtype=complex).reshape(-1, m).T
         for u in carried[k]:
-            w = project_out(u.astype(complex), blockers)
+            w = project_out(u, blockers)
             nrm = np.linalg.norm(w)
             if nrm > 1e-12:
-                blockers.append(w / nrm)
+                blockers = np.column_stack([blockers, w / nrm])
         want = (dims[k] - dims[k - 1]) - len(carried[k])
         picked = 0
         for cand in levels[k - 1]:
             if picked == want:
                 break
-            w = project_out(cand.astype(complex), blockers)
+            w = project_out(cand, blockers)
             nrm = np.linalg.norm(w)
             if nrm <= 1e-8:
                 continue
             top = w / nrm
-            blockers.append(top)
+            blockers = np.column_stack([blockers, top])
             picked += 1
             vecs = [top]
             for _ in range(k - 1):
@@ -296,15 +295,17 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     max_imag = max((abs(z.imag) for z in spec.eigenvalues), default=0.0)
     if max_imag > 1e-8:
         raise ReportedViolation(f"eigenvalue imaginary part {max_imag:.3e} > 1e-8")
-    geo = []
-    for z, mult in zip(spec.eigenvalues, spec.alg_mult):
-        b = z.real * np.eye(view.p.shape[0]) - view.p
-        basis, _ = nullspace_info(b, tol)
-        geo.append(len(basis))
-        if len(basis) != mult:
+    # every z I - P_int in one real stack, one batched rank elimination
+    n, diag = view.p.shape[0], np.arange(view.p.shape[0])
+    stack = np.empty((len(spec.eigenvalues), n, n))
+    stack[:] = -view.p
+    stack[:, diag, diag] += np.array(spec.eigenvalues).real[:, None]
+    _, infos = _echelon(stack, tol)
+    geo = [n - info.rank for info in infos]
+    for z, g, mult in zip(spec.eigenvalues, geo, spec.alg_mult):
+        if g != mult:
             raise ReportedViolation(
-                f"eigenvalue {z}: geometric multiplicity {len(basis)} != "
-                f"algebraic {mult}"
+                f"eigenvalue {z}: geometric multiplicity {g} != algebraic {mult}"
             )
     return NetworkSpectrumReport(
         chain=ch,

@@ -3,13 +3,19 @@
 simulation (z-scores, the first-visit series, one shard against three
 bit for bit) and every CLI report (``polyharm --json`` subprocesses up
 to interior size 390) checked against the benchmark's numpy oracle, and
-every check shown to reject a perturbed answer."""
+every check shown to reject a perturbed answer.  The ``spectral``
+operations are checked against the same oracle in process."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-SELFTEST = Path(__file__).resolve().parent.parent / "bench" / "selftest.py"
+import pytest
+
+import polyharm
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SELFTEST = BENCH / "selftest.py"
 
 
 def _selftest(workload):
@@ -28,3 +34,17 @@ def test_bench_selftest_montecarlo():
 
 def test_bench_selftest_cli():
     _selftest("cli")
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_bench_spectral_answers(seed, tmp_path, monkeypatch):
+    """Every ``spectral`` operation (Jordan chains and global bases on tree
+    sections up to interior 63, LAPACK's second eigenvalue on dense chains
+    up to interior 56, network checks up to interior 36) passes the
+    benchmark's own check, whatever its ``fault`` tag says."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    for op in workloads.spectral(polyharm, seed, tmp_path).round:
+        assert op.check(op.run()) == [], op.name

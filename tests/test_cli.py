@@ -1,10 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from polyharm.cli import main
-from polyharm.formats import chain_to_doc, load_chain, value_to_complex
+from polyharm.formats import (
+    FormatError,
+    chain_to_doc,
+    load_chain,
+    parse_complex,
+    value_to_complex,
+)
 from polyharm.simulate import SimConfig, simulate_hitting
 
 from conftest import random_chain
@@ -372,3 +379,45 @@ def test_solver_report_shows_min_pivot_ratio(command, p4_file, tmp_path, capsys)
     # lam I - P_int = [[1, -1/2], [-1/2, 1]]: pivots 1 and 3/4, max entry 1
     assert doc["results"]["min_pivot_ratio"] == pytest.approx(0.75, abs=1e-15)
     assert doc["tolerances"]["pivot_rtol"] == 1e-12
+
+
+NOT_NUMBERS = {
+    "g_booleans": ({"w1": True, "w2": False}, "1", "file"),
+    "g_nan": ({"w1": float("nan"), "w2": 1}, "1", "file"),
+    "lambda_inf": ({"w1": 1, "w2": 0}, "inf,0", "--lambda"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_non_finite_or_boolean_input_exit2(name, p4_file, tmp_path, capsys):
+    g, lam, where = NOT_NUMBERS[name]
+    path = _g(tmp_path, "g.json", g)  # json.dumps writes nan as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--json", "dirichlet", p4_file, "--lambda", lam, "--g", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # no report, so no bare NaN tokens
+    assert (path if where == "file" else where) in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("value", [True, False, [True, 1.0], [0.0, False],
+                                   float("nan"), float("inf"), [1.0, float("-inf")],
+                                   10**400, [0, -10**400]],
+                         ids=["true", "false", "pair_true", "pair_false", "nan", "inf",
+                              "pair_inf", "huge_int", "pair_huge_int"])
+def test_value_to_complex_refuses_non_numbers(value):
+    with pytest.raises(FormatError):
+        value_to_complex(value)
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "1,inf", "-inf,0", "1e999", "nan,nan"])
+def test_parse_complex_refuses_non_finite(text):
+    with pytest.raises(FormatError, match="not a finite number"):
+        parse_complex(text)
+
+
+def test_finite_scalars_still_read():
+    assert value_to_complex(2) == 2 and value_to_complex([1.5, -2]) == 1.5 - 2j
+    assert parse_complex("1.5") == 1.5 and parse_complex("1,-0.25") == 1 - 0.25j

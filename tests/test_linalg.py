@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from polyharm import bvp, martin, sub_chain
+from polyharm import build_network, bvp, martin, sub_chain
 from polyharm.errors import Singular
+from polyharm import linalg, spectral
 from polyharm.linalg import (
     PANEL,
+    EchelonInfo,
+    _echelon,
     LUFactorization,
     eigenvalues,
     lu_factor,
@@ -205,6 +208,162 @@ def test_nullspace_quality_random():
             assert np.abs(a @ x).max() <= 10 * tol * scale
             for y in basis[:i]:
                 assert abs(y.conj() @ x) < 1e-10
+
+
+def reference_nullspace_info(a, tol):
+    """Complete-pivot elimination one matrix at a time, one
+    back-substitution per free column, then modified Gram-Schmidt: the
+    reference the batched elimination must match."""
+    m = np.array(a, dtype=complex)
+    nr, nc = m.shape
+    scale = float(np.abs(m).max()) if m.size else 0.0
+    thresh = tol * scale
+    col_perm = np.arange(nc)
+    piv_mags = []
+    rank = 0
+    largest_dropped = 0.0
+    for k in range(min(nr, nc)):
+        sub = np.abs(m[k:, k:])
+        flat = int(np.argmax(sub))
+        i, j = divmod(flat, nc - k)
+        mag = float(sub[i, j])
+        if mag <= thresh:
+            largest_dropped = mag
+            break
+        i += k
+        j += k
+        if i != k:
+            m[[k, i]] = m[[i, k]]
+        if j != k:
+            m[:, [k, j]] = m[:, [j, k]]
+            col_perm[[k, j]] = col_perm[[j, k]]
+        piv_mags.append(mag)
+        rank += 1
+        m[k + 1:, k:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k:])
+    info = EchelonInfo(rank=rank, pivots=np.array(piv_mags),
+                       smallest_kept=piv_mags[-1] if piv_mags else 0.0,
+                       largest_dropped=largest_dropped, threshold=thresh)
+    basis = []
+    u = m[:rank, :]
+    for j in range(rank, nc):
+        y = np.zeros(nc, dtype=complex)
+        y[j] = 1.0
+        rhs = -u[:, j].copy()
+        for k in range(rank - 1, -1, -1):
+            y[k] = (rhs[k] - u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]
+        v = np.zeros(nc, dtype=complex)
+        v[col_perm] = y
+        basis.append(v)
+    ortho = []
+    for v in basis:
+        for u_prev in ortho:
+            v = v - (u_prev.conj() @ v) * u_prev
+        nrm = np.linalg.norm(v)
+        if nrm > 0:
+            ortho.append(v / nrm)
+    return ortho, info
+
+
+def _mixed_rank_stack(rng, count, nr, nc, cplx):
+    """Matrices of one shape and random rank 0..min(nr, nc), the zero
+    matrix and a full-rank one among them."""
+    out = []
+    for b in range(count):
+        r = [0, min(nr, nc)][b] if b < 2 else int(rng.integers(0, min(nr, nc) + 1))
+        u, v = rng.standard_normal((nr, r)), rng.standard_normal((r, nc))
+        if cplx:
+            u = u + 1j * rng.standard_normal((nr, r))
+            v = v + 1j * rng.standard_normal((r, nc))
+        out.append(u @ v)
+    return np.array(out, dtype=complex if cplx else float)
+
+
+def _same_info(got, want, exact):
+    assert got.rank == want.rank
+    assert got.threshold == want.threshold
+    if exact:
+        assert np.array_equal(got.pivots, want.pivots)
+        assert got.largest_dropped == want.largest_dropped
+        assert got.smallest_kept == want.smallest_kept
+        assert got.gap == want.gap
+    else:
+        # real arithmetic rounds the multipliers differently from complex
+        # (numpy divides complex numbers through a reciprocal), so only the
+        # kept pivots agree beyond rounding; the dropped one is noise
+        np.testing.assert_allclose(got.pivots, want.pivots, rtol=1e-10)
+        assert got.largest_dropped <= got.threshold
+        assert (got.largest_dropped == 0.0) == (want.largest_dropped == 0.0)
+
+
+@pytest.mark.parametrize("cplx", [True, False], ids=["complex", "real"])
+@pytest.mark.parametrize("nr,nc", [(1, 1), (1, 5), (5, 1), (7, 7), (12, 9),
+                                   (9, 12), (31, 31), (60, 60), (45, 60)])
+def test_batched_echelon_matches_reference(nr, nc, cplx):
+    """One stack, each matrix stopping at its own rank: the same ranks and
+    thresholds as the loop one matrix at a time, the same pivots bit for
+    bit on complex input."""
+    rng = np.random.default_rng(1000 * nr + nc + cplx)
+    tol = 1e-10
+    stack = _mixed_rank_stack(rng, 6, nr, nc, cplx)
+    want = [reference_nullspace_info(a, tol)[1] for a in stack]
+    out = stack.copy()
+    perms, infos = _echelon(out, tol)
+    assert perms.shape == (len(stack), nc) and len(infos) == len(stack)
+    for got, ref in zip(infos, want):
+        _same_info(got, ref, exact=cplx)
+    assert [i.rank for i in infos][:2] == [0, min(nr, nc)]
+    # each matrix leaves the stack with the U factor and column order it
+    # gets when eliminated alone, whenever the others stop
+    for a, u, perm, info in zip(stack, out, perms, infos):
+        alone = a[None].copy()
+        perm_alone, _ = _echelon(alone, tol)
+        assert np.array_equal(perm, perm_alone[0])
+        assert np.array_equal(np.triu(u[:info.rank]), np.triu(alone[0, :info.rank]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 27, 40, 60])
+def test_nullspace_matches_reference(n):
+    """Single matrices, sizes 1..60: the same rank decision bit for bit
+    and a kernel basis spanning the reference's space.  QR with the
+    phases of R's diagonal gives the Gram-Schmidt vectors themselves."""
+    rng = np.random.default_rng(n)
+    for a in _mixed_rank_stack(rng, 5, n, n, True):
+        basis, info = nullspace_info(a, 1e-10)
+        ref_basis, ref_info = reference_nullspace_info(a, 1e-10)
+        _same_info(info, ref_info, exact=True)
+        assert len(basis) == len(ref_basis) == n - info.rank
+        if not basis:
+            continue
+        q, ref = np.column_stack(basis), np.column_stack(ref_basis)
+        assert np.abs(q.conj().T @ q - np.eye(len(basis))).max() <= 1e-12
+        assert np.abs(q @ (q.conj().T @ ref) - ref).max() <= 1e-12
+        assert np.abs(ref @ (ref.conj().T @ q) - q).max() <= 1e-12
+        assert np.abs(q - ref).max() <= 1e-12
+
+
+def test_echelon_counts(monkeypatch):
+    """nullspace_info is one elimination; network_spectrum_check one
+    batched elimination for all its eigenvalues, and no nullspace_info."""
+    calls = {"echelon": 0, "nullspace": 0}
+
+    def counting_echelon(stack, tol):
+        calls["echelon"] += 1
+        return _echelon(stack, tol)
+
+    def counting_nullspace(a, tol):
+        calls["nullspace"] += 1
+        return nullspace_info(a, tol)
+
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "nullspace_info", counting_nullspace)
+    linalg.nullspace_info(np.ones((4, 4)), 1e-10)
+    assert calls == {"echelon": 1, "nullspace": 0}
+    calls["echelon"] = 0
+    edges = [(f"p{i}", f"p{i + 1}", 1.0 + i) for i in range(9)]
+    rep = spectral.network_spectrum_check(build_network(edges, ["p0", "p9"]))
+    assert len(rep.geo_mults) == 8
+    assert calls == {"echelon": 1, "nullspace": 0}
 
 
 # ----------------------------------------------------------- eigenvalues

@@ -4,12 +4,14 @@ import pytest
 from polyharm import (
     build_chain,
     build_network,
+    build_tree,
     eigenvalues,
     global_polyharmonic_basis,
     interior_spectrum,
     jordan_basis,
     network_spectrum_check,
     nullspace,
+    restrict_to_section,
     sub_chain,
 )
 from polyharm.errors import NotAnEigenvalue
@@ -309,3 +311,89 @@ def test_jordan_basis_at_true_eigenvalue_of_dense_chain():
     v = jb.chains[0][0]
     op = jb.lam * np.eye(c.n) - c.trans
     assert np.abs(op @ v).max() <= 1e-10
+
+
+# --------------------------------------------- Jordan structure at size
+
+def _lazy_forward_path(k):
+    """k interior vertices that stay with probability 1/2 and otherwise
+    step forward, the last one into the single boundary vertex: the
+    interior block is (I + N)/2, one Jordan block of size k at 1/2."""
+    names = [f"x{i}" for i in range(k)] + ["w"]
+    trans = np.zeros((k + 1, k + 1))
+    for i in range(k):
+        trans[i, i] = trans[i, i + 1] = 0.5
+    trans[k, k] = 1.0
+    return build_chain(names, names[:k], ["w"], trans)
+
+
+@pytest.mark.parametrize("k", [5, 20, 60])
+def test_lazy_forward_path_is_one_jordan_block(k):
+    c = _lazy_forward_path(k)
+    jb = jordan_basis(c, 0.5)
+    assert (jb.alg_mult, jb.geo_mult, jb.chain_lengths) == (k, 1, (k,))
+    op = 0.5 * np.eye(c.n) - c.trans
+    prev = np.zeros(c.n)
+    for v in jb.chains[0]:
+        assert np.abs(op @ v - prev).max() <= 1e-12 * np.abs(v).max()
+        prev = v
+
+
+def _binary_section(depth, rng):
+    """Binary forward tree of the given depth with seeded masses, restricted
+    to its last generation: 2**depth - 1 interior vertices."""
+    children, mass, frontier = {}, {"t0": 1.0}, ["t0"]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            share = 0.5 + rng.random(2)
+            kids = [f"t{len(mass) + j}" for j in range(2)]
+            for kid, s in zip(kids, share / share.sum()):
+                mass[kid] = mass[v] * float(s)
+            children[v] = kids
+            nxt += kids
+        frontier = nxt
+    return restrict_to_section(build_tree(children, measure=mass), frontier)
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+def test_tree_section_kernel_dimensions(depth):
+    """At lam = 0 the kernel of every power of P_int, read off the chain
+    lengths, has the dimension numpy's SVD rank gives it."""
+    c = _binary_section(depth, np.random.default_rng(depth))
+    p = sub_chain(c).p
+    m = p.shape[0]
+    assert m == 2**depth - 1
+    jb = jordan_basis(c, 0.0)
+    assert jb.alg_mult == m and max(jb.chain_lengths) == depth
+    for j in range(1, depth + 2):
+        want = m - np.linalg.matrix_rank(np.linalg.matrix_power(p, j))
+        assert sum(min(j, n) for n in jb.chain_lengths) == want
+
+
+def _grid_network(m, rng=None):
+    net = _cornerless_grid_network(m)
+    if rng is None:
+        return net
+    edges = [(u, v, float(a)) for (u, v, _), a in
+             zip(net.edges, rng.uniform(0.5, 2.0, len(net.edges)))]
+    return build_network(edges, sorted(net.boundary))
+
+
+@pytest.mark.parametrize("net", [
+    _path_network(102),
+    build_network([(f"p{i}", f"p{i + 1}", float(a)) for i, a in
+                   enumerate(np.random.default_rng(4).uniform(0.5, 2.0, 101))],
+                  ["p0", "p101"]),
+    _grid_network(12),
+    _grid_network(12, np.random.default_rng(5)),
+], ids=["path102", "path102-random", "grid12", "grid12-random"])
+def test_network_geometric_multiplicities_at_size(net):
+    """Interior 100: each geometric multiplicity is the number of numpy
+    eigenvalues at that point (up to 10 on the unit grid)."""
+    rep = network_spectrum_check(net)
+    want = np.linalg.eigvals(sub_chain(rep.chain).p).real
+    assert want.size == 100
+    counts = [int(np.sum(np.abs(want - z.real) <= 1e-6)) for z in rep.spectrum.eigenvalues]
+    assert list(rep.geo_mults) == counts
+    assert sum(counts) == want.size
