@@ -24,7 +24,6 @@ from .bvp import (
 from .chain import (
     Chain,
     Network,
-    SubChainView,
     boundary_distance,
     boundary_vector,
     build_chain,
@@ -33,7 +32,6 @@ from .chain import (
     full_vector,
     nth_boundary,
     nth_interior,
-    sub_chain,
 )
 from .linalg import (
     LUFactorization,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import Chain, boundary_vector, full_vector, nth_interior, sub_chain
+from .chain import Chain, boundary_vector, full_vector, nth_interior
 from .errors import ConsistencyError, LambdaInSpectrum, Singular, TowerMismatch
 from .linalg import LUFactorization, lu_factor
 
@@ -55,25 +55,22 @@ class GreenMatrix:
     boundary, F = G Q, one solve per boundary vertex) and ``g`` (interior
     x interior, one solve per interior vertex) are formed from it when
     first read; :meth:`apply_green` applies powers of G by repeated
-    solves.  ``_p`` and ``_q`` are the interior block and the boundary
-    coupling the operator was built from.
+    solves.
     """
 
     chain: Chain
     lam: complex
     _lu: LUFactorization = field(repr=False)
-    _p: np.ndarray = field(repr=False)
-    _q: np.ndarray = field(repr=False)
 
     @cached_property
     def f(self) -> np.ndarray:
         """Hitting matrix F(lam) = G(lam) Q, by back-substitution of Q."""
-        return self._lu.solve(self._q)
+        return self._lu.solve(self.chain.q)
 
     @cached_property
     def g(self) -> np.ndarray:
         """Dense G(lam), by back-substitution of the identity."""
-        return self._lu.solve(np.eye(self._p.shape[0], dtype=complex))
+        return self._lu.solve(np.eye(len(self.chain.interior), dtype=complex))
 
     @property
     def min_pivot_ratio(self) -> float:
@@ -100,15 +97,12 @@ class GreenMatrix:
 def green(chain: Chain, lam: complex) -> GreenMatrix:
     """Factor lam I - P_int, or raise :class:`LambdaInSpectrum` when
     ``lam`` sits on the interior spectrum (detected by a pivot failure)."""
-    view = sub_chain(chain)
-    k = view.p.shape[0]
-    a = lam * np.eye(k, dtype=complex) - view.p
+    a = lam * np.eye(len(chain.interior), dtype=complex) - chain.p_int
     try:
         lu = lu_factor(a)
     except Singular as exc:
         raise LambdaInSpectrum(f"lam = {lam} is in the interior spectrum: {exc}") from exc
-    return GreenMatrix(chain=chain, lam=complex(lam), _lu=lu, _p=view.p,
-                       _q=view.q.astype(complex))
+    return GreenMatrix(chain=chain, lam=complex(lam), _lu=lu)
 
 
 @dataclass(frozen=True)
@@ -165,20 +159,6 @@ class Solution:
         return {v: complex(x) for v, x in zip(self.chain.vertices, self.values)}
 
 
-def _assemble(chain: Chain, interior_vals: np.ndarray, boundary_vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(chain.n, dtype=complex)
-    out[list(chain.interior)] = interior_vals
-    out[list(chain.boundary)] = boundary_vals
-    return out
-
-
-def _interior_abs(chain: Chain, interior_vals: np.ndarray) -> np.ndarray:
-    """|interior_vals| on the interior rows of a vector over X, 0 elsewhere."""
-    out = np.zeros(chain.n)
-    out[list(chain.interior)] = np.abs(interior_vals)
-    return out
-
-
 def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
     """Unique lam-harmonic extension of the boundary data ``g``.
 
@@ -188,14 +168,15 @@ def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
     """
     gv = boundary_vector(chain, g)
     gm = green(chain, lam)
-    h_int = gm.apply_green(gm._q @ gv)
-    values = _assemble(chain, h_int, gv)
+    p, q = chain.p_int, chain.q
+    h_int = gm.apply_green(q @ gv)
+    values = chain.embed(h_int, gv)
     return Solution(
         chain=chain,
         lam=complex(lam),
         order=1,
         values=values,
-        residuals=_interior_abs(chain, _delta_power(gm._p, gm._q, lam, h_int, gv, 1)),
+        residuals=chain.embed(np.abs(_delta_power(p, q, lam, h_int, gv, 1))),
         nth_interior=nth_interior(chain, 1),
         tol=residual_tol(lam, values),
         min_pivot_ratio=gm.min_pivot_ratio,
@@ -225,7 +206,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     gs = [boundary_vector(chain, g) for g in problem.boundary_functions]
     n = len(gs)
     gm = green(chain, lam)
-    p, q = gm._p, gm._q
+    p, q = chain.p_int, chain.q
 
     stages: list[np.ndarray] = []  # f_n .. f_1 on the interior
     above = np.zeros(len(chain.interior), dtype=complex)  # f_{r+1}; none above f_n
@@ -234,7 +215,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     for g_r in reversed(gs):
         f_r = gm.apply_green(q @ g_r + above)
         res = np.abs(_delta_power(p, q, lam, f_r, g_r, 1) - above)
-        bound = abs(lam) * np.abs(f_r) + p @ np.abs(f_r) + q.real @ np.abs(g_r) + np.abs(above)
+        bound = abs(lam) * np.abs(f_r) + p @ np.abs(f_r) + q @ np.abs(g_r) + np.abs(above)
         # a zero bound means every term of that row is exactly zero
         ratio = np.divide(res, bound, out=np.zeros_like(res), where=bound > 0)
         backward = max(backward, float(ratio.max()))
@@ -243,7 +224,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
         above = f_r
 
     inner = nth_interior(chain, n)
-    top_res = _interior_abs(chain, _delta_power(p, q, lam, stages[-1], gs[0], n))
+    top_res = chain.embed(np.abs(_delta_power(p, q, lam, stages[-1], gs[0], n)))
     top = max((top_res[chain.vertex_index(v)] for v in inner), default=0.0)
     lim_top = TOWER_TOL * _scale(lam, n, *stages, *gs)
     if backward > TOWER_TOL or top > lim_top:
@@ -252,16 +233,16 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
             f"order-{n} residual on the n-th interior {top:.3e} (limit {lim_top:.3e})"
         )
 
-    values = _assemble(chain, stages[-1], gs[0])
+    values = chain.embed(stages[-1], gs[0])
     return Solution(
         chain=chain,
         lam=complex(lam),
         order=n,
         values=values,
-        residuals=_interior_abs(chain, stage_res),
+        residuals=chain.embed(stage_res),
         nth_interior=inner,
         tol=residual_tol(lam, values),
-        tower=[_assemble(chain, f_r, g_r) for f_r, g_r in zip(stages, reversed(gs))],
+        tower=[chain.embed(f_r, g_r) for f_r, g_r in zip(stages, reversed(gs))],
         min_pivot_ratio=gm.min_pivot_ratio,
     )
 
@@ -297,9 +278,9 @@ def polyharmonic_residual(chain: Chain, lam: complex, f, n: int) -> ResidualRepo
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     fv = full_vector(chain, f)
-    view = sub_chain(chain)
-    r = _delta_power(view.p, view.q, lam, fv[list(chain.interior)], fv[list(chain.boundary)], n)
-    residuals = _interior_abs(chain, r)
+    r = _delta_power(chain.p_int, chain.q, lam,
+                     fv[list(chain.interior)], fv[list(chain.boundary)], n)
+    residuals = chain.embed(np.abs(r))
     inner = nth_interior(chain, n)
     return ResidualReport(
         chain=chain,
@@ -316,13 +297,13 @@ def polyharmonic_residual(chain: Chain, lam: complex, f, n: int) -> ResidualRepo
 def delta_matrix(chain: Chain, lam: complex, n: int = 1) -> np.ndarray:
     """Dense |X| x |X| matrix of the order-n operator in vertex order:
     interior rows carry [A^n, -A^(n-1) Q], boundary rows are zero."""
-    view = sub_chain(chain)
-    k, nb = view.q.shape
+    p, q = chain.p_int, chain.q
+    k, nb = q.shape
     out = np.zeros((chain.n, chain.n), dtype=complex)
     out[np.ix_(chain.interior, chain.interior)] = _delta_power(
-        view.p, view.q, lam, np.eye(k), np.zeros((nb, k)), n)
+        p, q, lam, np.eye(k), np.zeros((nb, k)), n)
     out[np.ix_(chain.interior, chain.boundary)] = _delta_power(
-        view.p, view.q, lam, np.zeros((k, nb)), np.eye(nb), n)
+        p, q, lam, np.zeros((k, nb)), np.eye(nb), n)
     return out
 
 
@@ -342,10 +323,10 @@ def free_polyharmonic_space(chain: Chain, lam: complex, n: int,
         raise ValueError(f"order must be >= 1, got {n}")
     gm = green(chain, lam)
     eye = np.eye(len(chain.boundary), dtype=complex)
-    res = np.abs(_delta_power(gm._p, gm._q, lam, gm.f, eye, n)).max(axis=0)
+    res = np.abs(_delta_power(chain.p_int, chain.q, lam, gm.f, eye, n)).max(axis=0)
     basis = []
     for j, w in enumerate(chain.boundary_ids):
-        v = _assemble(chain, gm.f[:, j], eye[j])
+        v = chain.embed(gm.f[:, j], eye[j])
         limit = RESIDUAL_RTOL * _scale(lam, n, v)
         if res[j] > limit:
             raise ConsistencyError(

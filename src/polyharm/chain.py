@@ -6,12 +6,22 @@ every boundary vertex is absorbing (unit self-loop), every interior
 vertex can reach the boundary, and every boundary vertex is reachable
 from the interior.  All numeric work downstream is phrased in terms of
 the interior block of P and the interior-to-boundary coupling Q.
+
+This module is the only one that knows how the two parts are laid out
+in P.  :attr:`Chain.p_int` and :attr:`Chain.q` are those two blocks,
+each formed once, on first read, and read-only; :meth:`Chain.embed`
+puts interior (and boundary) values back into vertex order.
+:func:`build_chain` answers its reachability questions with frontier
+sweeps over one boolean support matrix: the sweeps give every vertex
+its distance to the boundary (``Chain.dist``), and one ``any`` over the
+interior-to-boundary block finds a boundary vertex no walk can hit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +58,9 @@ class Chain:
         Row-stochastic |X| x |X| matrix, boundary rows exact unit vectors.
     dist : tuple of int
         Fewest steps from each vertex to the boundary, in vertex order.
+    p_int, q : ndarray
+        The interior block of ``trans`` and the interior-to-boundary
+        coupling, read-only, each formed on first read.
     """
 
     vertices: tuple[str, ...]
@@ -75,6 +88,32 @@ class Chain:
         except KeyError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
 
+    @cached_property
+    def p_int(self) -> np.ndarray:
+        """Interior block P_int: transitions between interior vertices."""
+        return _block(self.trans, self.interior, self.interior)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Coupling Q: transitions from interior to boundary vertices."""
+        return _block(self.trans, self.interior, self.boundary)
+
+    def embed(self, interior_vals, boundary_vals=0) -> np.ndarray:
+        """Values over X in vertex order: ``interior_vals`` on the interior
+        rows and ``boundary_vals`` on the boundary rows.
+
+        A vector of interior values gives a vector over X; a matrix with
+        one row per interior vertex gives a matrix with one row per
+        vertex.  ``boundary_vals`` is a scalar, a vector in boundary order
+        or, for a matrix, one row per boundary vertex.
+        """
+        interior_vals = np.asarray(interior_vals)
+        out = np.zeros((self.n,) + interior_vals.shape[1:],
+                       dtype=np.result_type(interior_vals, boundary_vals))
+        out[list(self.interior)] = interior_vals
+        out[list(self.boundary)] = boundary_vals
+        return out
+
 
 @dataclass(frozen=True)
 class Network:
@@ -85,21 +124,29 @@ class Network:
     boundary: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SubChainView:
-    """Interior restriction of a chain: the interior block ``p`` and the
-    interior-to-boundary coupling ``q``, with the index maps that tie the
-    blocks back to vertex ids."""
-
-    p: np.ndarray
-    q: np.ndarray
-    interior: tuple[str, ...]
-    boundary: tuple[str, ...]
+def _block(trans: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
+    """A read-only copy of ``trans`` restricted to ``rows`` x ``cols``."""
+    out = trans[np.ix_(rows, cols)]
+    out.setflags(write=False)
+    return out
 
 
-def _support_edges(trans: np.ndarray) -> list[list[int]]:
-    n = trans.shape[0]
-    return [list(np.nonzero(trans[i] > 0.0)[0]) for i in range(n)]
+def _sweep_distances(step: np.ndarray, boundary: tuple[int, ...]) -> np.ndarray:
+    """Fewest steps from each vertex to ``boundary`` along the support
+    matrix ``step`` (``step[i, j]`` when p(i, j) > 0), -1 where the
+    boundary is never reached.  Sweep d marks the vertices not yet
+    reached that have an edge into the frontier, the vertices at d - 1."""
+    dist = np.full(step.shape[0], -1)
+    dist[list(boundary)] = 0
+    frontier = dist == 0
+    unseen = ~frontier
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = unseen & step[:, frontier].any(axis=1)
+        dist[frontier] = d
+        unseen &= ~frontier
+    return dist
 
 
 def build_chain(
@@ -175,47 +222,21 @@ def build_chain(
         p[w] = 0.0
         p[w, w] = 1.0
 
-    succ = _support_edges(p)
-
-    # every interior vertex must reach the boundary: a reverse search,
-    # which also gives each vertex its distance to the boundary
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(succ):
-        for j in row:
-            if i != j:
-                pred[j].append(i)
-    dist = [-1] * n
-    for w in boundary_idx:
-        dist[w] = 0
-    queue = deque(boundary_idx)
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    for x in interior_idx:
-        if dist[x] < 0:
-            raise DeadInterior(f"interior vertex {vertices[x]} cannot reach the boundary")
-
-    # every boundary vertex must be hit from the interior (forward search)
-    reached: set[int] = set()
-    queue = deque(interior_idx)
-    seen = set(interior_idx)
-    while queue:
-        v = queue.popleft()
-        for y in succ[v]:
-            reached.add(y)
-            if y not in seen:
-                seen.add(y)
-                if y in interior_idx:
-                    queue.append(y)
-    for w in boundary_idx:
-        if w not in reached:
-            raise InactiveBoundary(f"boundary vertex {vertices[w]} is never reached")
+    step = p > 0.0
+    # every interior vertex must reach the boundary; the sweeps also give
+    # each vertex its distance to the boundary
+    dist = _sweep_distances(step, boundary_idx)
+    dead = np.flatnonzero(dist < 0)
+    if dead.size:
+        raise DeadInterior(f"interior vertex {vertices[dead[0]]} cannot reach the boundary")
+    # every boundary vertex must be hit in one step from the interior
+    hit = step[np.ix_(interior_idx, boundary_idx)].any(axis=0)
+    if not hit.all():
+        w = boundary_idx[int(np.argmin(hit))]
+        raise InactiveBoundary(f"boundary vertex {vertices[w]} is never reached")
 
     p.setflags(write=False)
-    return Chain(vertices, interior_idx, boundary_idx, p, index, tuple(dist))
+    return Chain(vertices, interior_idx, boundary_idx, p, index, tuple(dist.tolist()))
 
 
 def build_network(edges: Iterable[tuple[str, str, float]], boundary: Iterable[str]) -> Network:
@@ -282,18 +303,16 @@ def from_network(network: Network) -> Chain:
     boundary_ids = set(network.boundary)
     n = len(vertices)
 
-    p = np.zeros((n, n))
-    for x in vertices:
-        xi = index[x]
-        if x in boundary_ids:
-            p[xi, xi] = 1.0
-            continue
+    interior_ids = [v for v in vertices if v not in boundary_ids]
+    for x in interior_ids:
         if m[x] <= 0.0:
             raise ZeroDegree(f"vertex {x} has zero total conductance")
-        for (u, v), a in cond.items():
-            if u == x:
-                p[xi, index[v]] += a / m[x]
-    interior_ids = [v for v in vertices if v not in boundary_ids]
+    p = np.zeros((n, n))
+    for w in boundary_ids:
+        p[index[w], index[w]] = 1.0
+    for (u, v), a in cond.items():
+        if u not in boundary_ids:
+            p[index[u], index[v]] = a / m[u]
     return build_chain(vertices, interior_ids, sorted(boundary_ids), p)
 
 
@@ -322,19 +341,6 @@ def nth_interior(chain: Chain, n: int) -> tuple[str, ...]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     return tuple(sorted(v for v, d in zip(chain.vertices, chain.dist) if d >= n))
-
-
-def sub_chain(chain: Chain) -> SubChainView:
-    """Extract the interior block and boundary coupling of the chain."""
-    p = chain.trans
-    rows = np.ix_(chain.interior, chain.interior)
-    cols = np.ix_(chain.interior, chain.boundary)
-    return SubChainView(
-        p=p[rows].copy(),
-        q=p[cols].copy(),
-        interior=chain.interior_ids,
-        boundary=chain.boundary_ids,
-    )
 
 
 # ------------------------------------------------------- vector plumbing

@@ -48,6 +48,18 @@ def _scalar(text: str, flag: str) -> complex:
         raise FormatError(f"{flag}: {exc}") from None
 
 
+def _positive(text: str) -> float:
+    """Type of the float flags: a positive finite number, or a usage
+    error that argparse reports under the flag's name (exit 2)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = float("nan")
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return x
+
+
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -384,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="interior spectrum and spectral radius")
     p.add_argument("chain")
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL)
+    p.add_argument("--cluster-tol", type=_positive, default=CLUSTER_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("dirichlet", help="solve the boundary extension problem")
@@ -445,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h", type=float)
-    p.add_argument("--limit", type=float, help="deviation limit (default 100 h^2)")
+    p.add_argument("--h", type=_positive)
+    p.add_argument("--limit", type=_positive, help="deviation limit (default 100 h^2)")
     p.set_defaults(func=cmd_check_derivative)
     return ap
 

@@ -80,17 +80,13 @@ def _martin_kernel(gm: GreenMatrix, origin: str, row: int, n: int) -> MartinKern
     """Martin kernel from a Green matrix already built; ``row`` is the
     origin's interior row."""
     chain = gm.chain
-    oi = chain.interior[row]
     o_row = gm.f[row, :].copy()
     _check_res_star(gm, o_row)
 
-    nb = len(chain.boundary)
-    k = np.zeros((chain.n, nb), dtype=complex)
-    k[list(chain.interior), :] = gm.f / o_row[None, :]
-    k[oi, :] = 1.0  # exact by construction, not by rounding luck
-    for j, w in enumerate(chain.boundary):
-        k[w, j] = 1.0 / o_row[j]
-    higher = [k[list(chain.interior), :].copy()]
+    k_int = gm.f / o_row[None, :]
+    k_int[row, :] = 1.0  # exact by construction, not by rounding luck
+    k = chain.embed(k_int, np.diag(1.0 / o_row))
+    higher = [k_int]
     for _ in range(1, n):
         higher.append(gm.apply_green(higher[-1]))
     return MartinKernel(chain=chain, origin=origin, lam=gm.lam, k=k, higher=higher)
@@ -118,9 +114,7 @@ def riquier_via_kernels(chain: Chain, lam: complex, origin: str, gs) -> Solution
         nu_r = g_vecs[r - 1] * o_row
         f_int = f_int + mk.higher[r - 1] @ nu_r
 
-    values = np.zeros(chain.n, dtype=complex)
-    values[list(chain.interior)] = f_int
-    values[list(chain.boundary)] = g_vecs[0]
+    values = chain.embed(f_int, g_vecs[0])
     report = polyharmonic_residual(chain, lam, values, n)
     return Solution(
         chain=chain,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, Network, conductances, from_network, sub_chain
+from .chain import Chain, Network, conductances, from_network
 from .errors import (
     IllConditioned,
     NotAnEigenvalue,
@@ -44,7 +44,7 @@ def interior_spectrum(chain: Chain, cluster_tol: float = CLUSTER_TOL) -> Interio
     a violation indicates numeric trouble and raises
     :class:`SpectralRadiusViolation`.
     """
-    spec = eigenvalues(sub_chain(chain).p, cluster_tol=cluster_tol)
+    spec = eigenvalues(chain.p_int, cluster_tol=cluster_tol)
     rho = spec.rho
     if rho >= 1.0 - RHO_MARGIN:
         raise SpectralRadiusViolation(
@@ -77,12 +77,6 @@ class JordanBasis:
             cap = len(c) if max_order is None else min(max_order, len(c))
             out.extend(c[:cap])
         return out
-
-
-def _embed(chain: Chain, interior_vec: np.ndarray) -> np.ndarray:
-    v = np.zeros(chain.n, dtype=complex)
-    v[list(chain.interior)] = interior_vec
-    return v
 
 
 def _chain_scale(first: np.ndarray) -> complex:
@@ -133,7 +127,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     lam0 = nearest
     kappa = spec.mult_of(lam0)
 
-    p_int = sub_chain(chain).p
+    p_int = chain.p_int
     m = p_int.shape[0]
     b = lam0 * np.eye(m, dtype=complex) - p_int
 
@@ -208,7 +202,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     chains_full = []
     for c in chains_int:
         alpha = _chain_scale(c[0])
-        chains_full.append(tuple(_embed(chain, alpha * v) for v in c))
+        chains_full.append(tuple(chain.embed(alpha * v) for v in c))
     chains_full = tuple(chains_full)
     lengths = tuple(len(c) for c in chains_full)
     if sum(lengths) != kappa:
@@ -282,23 +276,23 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         raise TypeError("network_spectrum_check needs a Network, "
                         f"got {type(network).__name__}")
     ch = from_network(network)
-    view = sub_chain(ch)
+    p_int = ch.p_int
     _, m = conductances(network)
-    d = np.sqrt([m[x] for x in view.interior])
-    sym = (d[:, None] * view.p) / d[None, :]
+    d = np.sqrt([m[x] for x in ch.interior_ids])
+    sym = (d[:, None] * p_int) / d[None, :]
     sym_dev = float(np.abs(sym - sym.T).max())
     if sym_dev > 1e-12:
         raise ReportedViolation(
             f"conjugated interior block deviates from symmetry by {sym_dev:.3e}"
         )
-    spec = eigenvalues(view.p, cluster_tol=cluster_tol)
+    spec = eigenvalues(p_int, cluster_tol=cluster_tol)
     max_imag = max((abs(z.imag) for z in spec.eigenvalues), default=0.0)
     if max_imag > 1e-8:
         raise ReportedViolation(f"eigenvalue imaginary part {max_imag:.3e} > 1e-8")
     # every z I - P_int in one real stack, one batched rank elimination
-    n, diag = view.p.shape[0], np.arange(view.p.shape[0])
+    n, diag = p_int.shape[0], np.arange(p_int.shape[0])
     stack = np.empty((len(spec.eigenvalues), n, n))
-    stack[:] = -view.p
+    stack[:] = -p_int
     stack[:, diag, diag] += np.array(spec.eigenvalues).real[:, None]
     _, infos = _echelon(stack, tol)
     geo = [n - info.rank for info in infos]

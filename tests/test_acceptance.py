@@ -25,7 +25,6 @@ from polyharm import (
     simulate_hitting,
     solve_dirichlet,
     solve_riquier,
-    sub_chain,
     tree_green,
 )
 from polyharm.errors import NotInResStar
@@ -158,7 +157,7 @@ def test_criterion_06_spectral_radius():
         t = random_tree(rng)
         sec = random_section(rng, t)
         c = restrict_to_section(t, sec)
-        p_int = sub_chain(c).p
+        p_int = c.p_int
         power = np.eye(p_int.shape[0])
         for _ in range(t.max_depth):
             power = power @ p_int

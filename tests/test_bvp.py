@@ -348,7 +348,7 @@ def test_free_space_size300_against_numpy(monkeypatch):
 
 
 def test_free_space_refuses_a_wrong_basis(monkeypatch, p4):
-    wrong = property(lambda self: self._lu.solve(self._q) * (1 + 1e-6))
+    wrong = property(lambda self: self._lu.solve(self.chain.q) * (1 + 1e-6))
     monkeypatch.setattr(bvp.GreenMatrix, "f", wrong)
     with pytest.raises(ConsistencyError, match="order-2 residual"):
         free_polyharmonic_space(p4, 1.5, 2)

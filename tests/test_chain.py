@@ -1,15 +1,21 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+import polyharm
 from polyharm import (
     boundary_distance,
     build_chain,
     build_network,
+    build_tree,
+    bvp,
     from_network,
     nth_boundary,
     nth_interior,
-    sub_chain,
+    restrict_to_section,
 )
+from polyharm import chain as chainmod
 from polyharm.errors import (
     DeadInterior,
     EmptyPart,
@@ -89,23 +95,20 @@ def test_malformed_partition_rejected():
 
 
 def test_sub_chain_p4(p4):
-    view = sub_chain(p4)
-    assert np.allclose(view.p, [[0.0, 0.5], [0.5, 0.0]])
-    assert np.allclose(view.q, [[0.5, 0.0], [0.0, 0.5]])
-    assert view.interior == ("a", "b")
+    assert np.allclose(p4.p_int, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.allclose(p4.q, [[0.5, 0.0], [0.0, 0.5]])
+    assert p4.interior_ids == ("a", "b")
 
 
 def test_sub_chain_single_interior():
     c = build_chain(["x", "w"], ["x"], ["w"], [[0, 1], [0, 1]])
-    view = sub_chain(c)
-    assert view.p.shape == (1, 1) and view.p[0, 0] == 0.0
-    assert view.q[0, 0] == 1.0
+    assert c.p_int.shape == (1, 1) and c.p_int[0, 0] == 0.0
+    assert c.q[0, 0] == 1.0
 
 
 def test_sub_chain_forward_path(forward_path):
-    view = sub_chain(forward_path)
-    assert np.allclose(view.p, [[0, 1], [0, 0]])
-    assert np.allclose(view.q, [[0], [1]])
+    assert np.allclose(forward_path.p_int, [[0, 1], [0, 0]])
+    assert np.allclose(forward_path.q, [[0], [1]])
 
 
 def test_nth_boundary_p4(p4):
@@ -135,8 +138,7 @@ def test_rows_of_blocks_are_probability_vectors():
     rng = np.random.default_rng(7)
     for _ in range(20):
         c = random_chain(rng)
-        view = sub_chain(c)
-        stacked = np.hstack([view.p, view.q])
+        stacked = np.hstack([c.p_int, c.q])
         assert np.all(stacked >= 0)
         assert np.allclose(stacked.sum(axis=1), 1.0, atol=1e-12)
 
@@ -149,8 +151,7 @@ def test_p4_from_unit_conductances(p4):
     )
     c = from_network(net)
     assert c.interior_ids == ("a", "b")
-    view = sub_chain(c)
-    assert np.allclose(view.p, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.allclose(c.p_int, [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_triangle_network_probabilities():
@@ -256,13 +257,11 @@ def test_boundary_distance_matches_relaxation():
 
 
 def test_boundary_search_runs_once_per_chain(monkeypatch):
-    from polyharm import bvp, chain as chainmod
-
     c = random_chain(np.random.default_rng(3), size=20)
     calls = []
-    real = chainmod._support_edges
-    monkeypatch.setattr(chainmod, "_support_edges",
-                        lambda trans: calls.append(1) or real(trans))
+    real = chainmod._sweep_distances
+    monkeypatch.setattr(chainmod, "_sweep_distances",
+                        lambda *args: calls.append(1) or real(*args))
     g = np.ones(len(c.boundary))
     bvp.solve_riquier(bvp.RiquierProblem(1.5, (g, 2 * g, 3 * g)), c)
     bvp.solve_dirichlet(c, 1.5, g)
@@ -284,3 +283,206 @@ def test_nth_interior_is_the_complement_of_nth_boundary():
         assert nth_interior(c, max(c.dist) + 1) == ()
     with pytest.raises(ValueError):
         nth_interior(chains[0], 0)
+
+
+# ------------------------------------------- sweeps against the old search
+
+def _reference_search(vertices, interior, boundary, p):
+    """The per-edge searches ``build_chain`` made before the frontier
+    sweeps, kept as the reference: a reverse search from the boundary for
+    the distances, then a forward search from the interior for the
+    boundary vertices it hits."""
+    n = len(vertices)
+    succ = [list(np.nonzero(p[i] > 0.0)[0]) for i in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            if i != j:
+                pred[j].append(i)
+    dist = [-1] * n
+    for w in boundary:
+        dist[w] = 0
+    queue = deque(boundary)
+    while queue:
+        v = queue.popleft()
+        for u in pred[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    for x in interior:
+        if dist[x] < 0:
+            raise DeadInterior(f"interior vertex {vertices[x]} cannot reach the boundary")
+    reached = set()
+    queue = deque(interior)
+    seen = set(interior)
+    while queue:
+        v = queue.popleft()
+        for y in succ[v]:
+            reached.add(y)
+            if y not in seen:
+                seen.add(y)
+                if y in interior:
+                    queue.append(y)
+    for w in boundary:
+        if w not in reached:
+            raise InactiveBoundary(f"boundary vertex {vertices[w]} is never reached")
+    return tuple(dist)
+
+
+def _lazy_path(n):
+    """Lazy walk on an n-vertex path, both ends absorbing: diameter n/2."""
+    trans = np.zeros((n, n))
+    trans[0, 0] = trans[-1, -1] = 1.0
+    for i in range(1, n - 1):
+        trans[i, i - 1:i + 2] = (0.25, 0.5, 0.25)
+    ids = [f"v{i}" for i in range(n)]
+    return build_chain(ids, ids[1:-1], [ids[0], ids[-1]], trans)
+
+
+def _tree_section(depth):
+    """Binary forward tree cut at its last generation."""
+    children, frontier = {}, ["t"]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            children[v] = [v + "0", v + "1"]
+            nxt += children[v]
+        frontier = nxt
+    return restrict_to_section(build_tree(children, forward_probs={
+        k: 0.5 for kids in children.values() for k in kids}), frontier)
+
+
+def _sweep_test_chains():
+    for n in list(range(2, 61)) + [100, 200, 400]:
+        yield random_chain(np.random.default_rng(n), size=n)
+    rng = np.random.default_rng(61)
+    for n in list(range(5, 61, 5)) + [100, 200, 400]:
+        yield _sparse_chain(rng, n)
+    yield _lazy_path(400)
+    yield _tree_section(5)
+    yield _tree_section(6)
+
+
+def test_sweep_distances_match_the_reference_search():
+    for c in _sweep_test_chains():
+        want = _reference_search(c.vertices, c.interior, c.boundary, c.trans)
+        assert c.dist == want
+        assert all(type(d) is int for d in c.dist)
+    assert max(_lazy_path(400).dist) == 199
+
+
+def _shuffled(rng, n):
+    """Inputs to ``build_chain`` for a dense random chain with n // 3
+    boundary vertices, in a shuffled vertex order, so that interior and
+    boundary indices interleave."""
+    nb = n // 3
+    vertices = [f"x{k}" for k in range(n - nb)] + [f"w{k}" for k in range(nb)]
+    trans = 0.1 + rng.random((n, n))
+    trans /= trans.sum(axis=1, keepdims=True)
+    trans[n - nb:] = np.eye(n)[n - nb:]
+    perm = rng.permutation(n)
+    return ([vertices[k] for k in perm], vertices[:n - nb], vertices[n - nb:],
+            trans[np.ix_(perm, perm)])
+
+
+def _structural_error(vertices, interior, boundary, trans):
+    with pytest.raises((DeadInterior, InactiveBoundary)) as got:
+        build_chain(vertices, interior, boundary, trans)
+    index = {v: i for i, v in enumerate(vertices)}
+    with pytest.raises(got.type, match="^" + str(got.value) + "$"):
+        _reference_search(vertices, sorted(index[v] for v in interior),
+                          sorted(index[v] for v in boundary), trans)
+    return got.value
+
+
+@pytest.mark.parametrize("n", [9, 30, 120])
+def test_two_dead_interior_vertices_name_the_first(n):
+    rng = np.random.default_rng(n)
+    vertices, interior, boundary, trans = _shuffled(rng, n)
+    dead = sorted(vertices.index(v) for v in rng.choice(interior, size=2, replace=False))
+    for x in dead:  # the two walk only between themselves
+        trans[x] = 0.0
+        trans[x, dead] = 0.5
+    exc = _structural_error(vertices, interior, boundary, trans)
+    assert isinstance(exc, DeadInterior)
+    assert str(exc) == f"interior vertex {vertices[dead[0]]} cannot reach the boundary"
+
+
+@pytest.mark.parametrize("n", [9, 30, 120])
+def test_two_unreached_boundary_vertices_name_the_first(n):
+    rng = np.random.default_rng(n)
+    vertices, interior, boundary, trans = _shuffled(rng, n)
+    cold = sorted(vertices.index(w) for w in rng.choice(boundary, size=2, replace=False))
+    rows = [vertices.index(x) for x in interior]
+    trans[np.ix_(rows, cold)] = 0.0
+    trans[rows] /= trans[rows].sum(axis=1, keepdims=True)
+    exc = _structural_error(vertices, interior, boundary, trans)
+    assert isinstance(exc, InactiveBoundary)
+    assert str(exc) == f"boundary vertex {vertices[cold[0]]} is never reached"
+
+
+# ------------------------------------------------------ blocks and embed
+
+def test_blocks_are_formed_once_and_read_only():
+    c = random_chain(np.random.default_rng(5), size=30)
+    ii, bb = list(c.interior), list(c.boundary)
+    assert c.p_int is c.p_int and c.q is c.q
+    assert np.array_equal(c.p_int, c.trans[np.ix_(ii, ii)])
+    assert np.array_equal(c.q, c.trans[np.ix_(ii, bb)])
+    for block in (c.p_int, c.q):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.5
+
+
+def test_green_twice_forms_p_int_once(monkeypatch):
+    c = random_chain(np.random.default_rng(6), size=30)
+    calls = []
+    real = chainmod._block
+    monkeypatch.setattr(chainmod, "_block",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    bvp.green(c, 1.5)
+    bvp.green(c, 2.5)
+    assert calls == [(c.interior, c.interior)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_embed_round_trips(dtype):
+    c = random_chain(np.random.default_rng(7), size=12)
+    rng = np.random.default_rng(8)
+    ii, bb = list(c.interior), list(c.boundary)
+    ni, nb = len(ii), len(bb)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    x_int, x_bnd = draw(ni), draw(nb)
+    v = c.embed(x_int, x_bnd)
+    assert v.shape == (c.n,) and v.dtype == dtype
+    assert np.array_equal(v[ii], x_int) and np.array_equal(v[bb], x_bnd)
+    v = c.embed(x_int)
+    assert v.dtype == dtype and np.array_equal(v[ii], x_int) and not v[bb].any()
+    m_int, m_bnd = draw(ni, 3), draw(nb, 3)
+    m = c.embed(m_int, m_bnd)
+    assert m.shape == (c.n, 3) and m.dtype == dtype
+    assert np.array_equal(m[ii], m_int) and np.array_equal(m[bb], m_bnd)
+    assert np.array_equal(c.embed(m_int, 0.25)[bb], np.full((nb, 3), 0.25))
+
+
+def test_sub_chain_names_are_gone():
+    for name in ("sub_chain", "SubChainView"):
+        assert name not in polyharm.__all__
+        assert not hasattr(polyharm, name) and not hasattr(chainmod, name)
+
+
+def test_from_network_parallel_edges_and_a_loop():
+    net = build_network([("w", "a", 1.0), ("a", "b", 2.0), ("b", "a", 1.0),
+                         ("b", "b", 0.5), ("b", "w2", 1.5)], ["w", "w2"])
+    c = from_network(net)
+    assert c.vertices == ("a", "b", "w", "w2")
+    # m(a) = 1 + 3, m(b) = 3 + 0.5 + 1.5; the loop counts once
+    assert np.array_equal(c.trans, [[0.0, 0.75, 0.25, 0.0],
+                                    [0.6, 0.1, 0.0, 0.3],
+                                    [0.0, 0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 0.0, 1.0]])

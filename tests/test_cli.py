@@ -421,3 +421,27 @@ def test_parse_complex_refuses_non_finite(text):
 def test_finite_scalars_still_read():
     assert value_to_complex(2) == 2 and value_to_complex([1.5, -2]) == 1.5 - 2j
     assert parse_complex("1.5") == 1.5 and parse_complex("1,-0.25") == 1 - 0.25j
+
+
+BAD_FLOATS = {
+    "cluster_tol_nan": (["spectrum", "--cluster-tol", "nan"], "--cluster-tol"),
+    "cluster_tol_inf": (["spectrum", "--cluster-tol", "inf"], "--cluster-tol"),
+    "cluster_tol_negative": (["spectrum", "--cluster-tol", "-1"], "--cluster-tol"),
+    "limit_nan": (["check-derivative", "--lambda", "2", "--r", "2", "--limit", "nan"],
+                  "--limit"),
+    "h_zero": (["check-derivative", "--lambda", "2", "--r", "2", "--h", "0"], "--h"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLOATS))
+def test_float_flags_must_be_positive_and_finite(name, p4_file, capsys):
+    (command, *rest), flag = BAD_FLOATS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", command, p4_file] + rest)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err and "positive finite" in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyharm import build_network, bvp, martin, sub_chain
+from polyharm import build_network, bvp, martin
 from polyharm.errors import Singular
 from polyharm import linalg, spectral
 from polyharm.linalg import (
@@ -469,7 +469,7 @@ def test_eigenvalues_accurate_on_random_chains():
     # every returned z is an eigenvalue by an oracle apart from eig: the
     # smallest singular value of zI - P_int vanishes
     for n in range(2, 61):
-        p = sub_chain(random_chain(np.random.default_rng(n), size=n)).p
+        p = random_chain(np.random.default_rng(n), size=n).p_int
         spec = eigenvalues(p)
         assert sum(spec.alg_mult) == p.shape[0]
         for z in spec.eigenvalues:

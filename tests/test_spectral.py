@@ -12,7 +12,6 @@ from polyharm import (
     network_spectrum_check,
     nullspace,
     restrict_to_section,
-    sub_chain,
 )
 from polyharm.errors import NotAnEigenvalue
 
@@ -54,7 +53,7 @@ def test_jordan_forward_path(forward_path):
     assert abs(abs(f1[io]) - 1.0) < 1e-12
     assert abs(f1[ia]) < 1e-12
     # chain relation with B = -P_int extended by zero
-    p_int = sub_chain(forward_path).p
+    p_int = forward_path.p_int
     b = -p_int
     assert np.abs(b @ f2[[io, ia]] - f1[[io, ia]]).max() < 1e-12
     # boundary values vanish
@@ -96,7 +95,7 @@ def test_jordan_chain_relation_random():
     rng = np.random.default_rng(61)
     for _ in range(20):
         c = random_chain(rng, max_interior=5, max_boundary=2, rational=True)
-        p_int = sub_chain(c).p
+        p_int = c.p_int
         spec = interior_spectrum(c).spectrum
         lam = spec.eigenvalues[int(rng.integers(0, len(spec.eigenvalues)))]
         jb = jordan_basis(c, lam)
@@ -287,13 +286,12 @@ def test_network_spectrum_unit_conductances(net):
     rep = network_spectrum_check(net)
     assert rep.geo_mults == rep.alg_mults
     # oracle: the block symmetrised by sqrt of the vertex weights
-    view = sub_chain(rep.chain)
     weight = {}
     for u, v, a in net.edges:
         weight[u] = weight.get(u, 0.0) + a
         weight[v] = weight.get(v, 0.0) + a
-    d = np.sqrt([weight[x] for x in view.interior])
-    want = np.linalg.eigvalsh((d[:, None] * view.p) / d[None, :])
+    d = np.sqrt([weight[x] for x in rep.chain.interior_ids])
+    want = np.linalg.eigvalsh((d[:, None] * rep.chain.p_int) / d[None, :])
     got = np.repeat([z.real for z in rep.spectrum.eigenvalues], rep.alg_mults)
     assert got.size == want.size
     assert np.abs(np.sort(got) - want).max() <= 1e-10
@@ -303,7 +301,7 @@ def test_jordan_basis_at_true_eigenvalue_of_dense_chain():
     rng = np.random.default_rng(0)
     random_chain(rng, size=10)
     c = random_chain(rng, size=20)
-    ev = np.linalg.eigvals(sub_chain(c).p)
+    ev = np.linalg.eigvals(c.p_int)
     z = complex(ev[np.argmin(np.abs(ev - 0.1169))])
     assert abs(z - 0.1169) < 1e-3
     jb = jordan_basis(c, z)
@@ -361,7 +359,7 @@ def test_tree_section_kernel_dimensions(depth):
     """At lam = 0 the kernel of every power of P_int, read off the chain
     lengths, has the dimension numpy's SVD rank gives it."""
     c = _binary_section(depth, np.random.default_rng(depth))
-    p = sub_chain(c).p
+    p = c.p_int
     m = p.shape[0]
     assert m == 2**depth - 1
     jb = jordan_basis(c, 0.0)
@@ -392,7 +390,7 @@ def test_network_geometric_multiplicities_at_size(net):
     """Interior 100: each geometric multiplicity is the number of numpy
     eigenvalues at that point (up to 10 on the unit grid)."""
     rep = network_spectrum_check(net)
-    want = np.linalg.eigvals(sub_chain(rep.chain).p).real
+    want = np.linalg.eigvals(rep.chain.p_int).real
     assert want.size == 100
     counts = [int(np.sum(np.abs(want - z.real) <= 1e-6)) for z in rep.spectrum.eigenvalues]
     assert list(rep.geo_mults) == counts

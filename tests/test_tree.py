@@ -13,7 +13,6 @@ from polyharm import (
     martin_kernel,
     restrict_to_section,
     section_kernel,
-    sub_chain,
     tree_green,
 )
 from polyharm.errors import (
@@ -69,8 +68,7 @@ def test_restrict_depth2(binary_tree):
     c = restrict_to_section(binary_tree, DEPTH2_SECTION)
     assert set(c.interior_ids) == {"o", "u1", "u2"}
     assert set(c.boundary_ids) == set(DEPTH2_SECTION)
-    view = sub_chain(c)
-    assert np.all(view.p[view.p > 0] == 0.5)
+    assert np.all(c.p_int[c.p_int > 0] == 0.5)
 
 
 def test_restrict_depth1(binary_tree):
@@ -139,7 +137,7 @@ def test_restriction_is_nilpotent():
         t = random_tree(rng)
         sec = random_section(rng, t)
         c = restrict_to_section(t, sec)
-        p_int = sub_chain(c).p
+        p_int = c.p_int
         power = np.eye(p_int.shape[0])
         for _ in range(t.max_depth):
             power = power @ p_int
