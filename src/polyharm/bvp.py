@@ -5,14 +5,16 @@ Green matrix is G(lam) = (lam I - P_int)^-1 and the hitting matrix is
 F(lam) = G(lam) Q.  At lam = 1, F(x, w) is the probability that the walk
 started at x is absorbed at w.  :func:`green` only factors
 lam I - P_int; F and G are formed from that LU when first read.  The
-Dirichlet problem is one solve on it, the order-n Riquier tower n, and
-the tower is checked by products with P_int and Q, never with the LU.
+chain keeps its latest factorisation, with F and G once formed, so
+every solver called on the same chain and lam shares one LU (and one
+F), across calls.  The Dirichlet problem is one solve on it, the
+order-n Riquier tower n, and the tower is checked by products with
+P_int and Q, never with the LU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,22 +57,33 @@ class GreenMatrix:
     boundary, F = G Q, one solve per boundary vertex) and ``g`` (interior
     x interior, one solve per interior vertex) are formed from it when
     first read; :meth:`apply_green` applies powers of G by repeated
-    solves.
+    solves.  Every instance that :func:`green` returns for one chain and
+    lam shares the LU, ``f`` and ``g``, so all three are read-only.
     """
 
     chain: Chain
     lam: complex
     _lu: LUFactorization = field(repr=False)
+    # F and G once formed, shared with every GreenMatrix on this LU
+    _formed: dict = field(default_factory=dict, repr=False)
 
-    @cached_property
+    @property
     def f(self) -> np.ndarray:
         """Hitting matrix F(lam) = G(lam) Q, by back-substitution of Q."""
-        return self._lu.solve(self.chain.q)
+        return self._form("f", lambda: self._lu.solve(self.chain.q))
 
-    @cached_property
+    @property
     def g(self) -> np.ndarray:
         """Dense G(lam), by back-substitution of the identity."""
-        return self._lu.solve(np.eye(len(self.chain.interior), dtype=complex))
+        return self._form("g", lambda: self._lu.solve(
+            np.eye(len(self.chain.interior), dtype=complex)))
+
+    def _form(self, name: str, solve) -> np.ndarray:
+        if name not in self._formed:
+            out = solve()
+            out.setflags(write=False)
+            self._formed[name] = out
+        return self._formed[name]
 
     @property
     def min_pivot_ratio(self) -> float:
@@ -96,13 +109,29 @@ class GreenMatrix:
 
 def green(chain: Chain, lam: complex) -> GreenMatrix:
     """Factor lam I - P_int, or raise :class:`LambdaInSpectrum` when
-    ``lam`` sits on the interior spectrum (detected by a pivot failure)."""
-    a = lam * np.eye(len(chain.interior), dtype=complex) - chain.p_int
-    try:
-        lu = lu_factor(a)
-    except Singular as exc:
-        raise LambdaInSpectrum(f"lam = {lam} is in the interior spectrum: {exc}") from exc
-    return GreenMatrix(chain=chain, lam=complex(lam), _lu=lu)
+    ``lam`` sits on the interior spectrum (detected by a pivot failure).
+
+    The chain keeps its latest factorisation: a second call with the same
+    chain and lam (compared as ``complex(lam)``) does not factor again,
+    and its result shares the LU, F and G (once formed) with the first.
+    A new lam replaces the kept one, so a chain holds at most one LU
+    (plus F and G once read).  What the chain keeps does not refer back
+    to it, so a chain no longer used is freed at once, with its LU.  A
+    spectral lam is never kept and is refused on every call.
+    """
+    key = complex(lam)
+    if key not in chain._green:
+        a = lam * np.eye(len(chain.interior), dtype=complex) - chain.p_int
+        try:
+            lu = lu_factor(a)
+        except Singular as exc:
+            raise LambdaInSpectrum(f"lam = {lam} is in the interior spectrum: {exc}") from exc
+        lu.lu.setflags(write=False)
+        lu.perm.setflags(write=False)
+        chain._green.clear()
+        chain._green[key] = (lu, {})
+    lu, formed = chain._green[key]
+    return GreenMatrix(chain=chain, lam=key, _lu=lu, _formed=formed)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ the interior block of P and the interior-to-boundary coupling Q.
 
 This module is the only one that knows how the two parts are laid out
 in P.  :attr:`Chain.p_int` and :attr:`Chain.q` are those two blocks,
-each formed once, on first read, and read-only; :meth:`Chain.embed`
-puts interior (and boundary) values back into vertex order.
+each formed once, on first read, and read-only: a view of P when the
+block's rows and columns are each one contiguous run of indices, a copy
+otherwise.  :meth:`Chain.embed` puts interior (and boundary) values back
+into vertex order.
 :func:`build_chain` answers its reachability questions with frontier
 sweeps over one boolean support matrix: the sweeps give every vertex
 its distance to the boundary (``Chain.dist``), and one ``any`` over the
@@ -46,7 +48,10 @@ class Chain:
     """Validated absorbing chain.
 
     Immutable after construction; the transition matrix is stored with
-    the write flag cleared so instances can be shared freely.
+    the write flag cleared so instances can be shared freely.  The one
+    mutable slot, ``_green``, is written only by :func:`polyharm.bvp.green`:
+    it keeps the chain's latest LU of lam I - P_int, with F and G once
+    formed.
 
     Attributes
     ----------
@@ -60,7 +65,10 @@ class Chain:
         Fewest steps from each vertex to the boundary, in vertex order.
     p_int, q : ndarray
         The interior block of ``trans`` and the interior-to-boundary
-        coupling, read-only, each formed on first read.
+        coupling, read-only, each formed on first read.  Each is a view
+        sharing memory with ``trans`` when its rows and its columns are
+        one contiguous run of indices (interior listed before boundary,
+        or after it), and a copy otherwise.
     """
 
     vertices: tuple[str, ...]
@@ -69,6 +77,8 @@ class Chain:
     trans: np.ndarray
     index: dict[str, int] = field(repr=False)
     dist: tuple[int, ...] = field(repr=False)
+    # complex(lam) -> (LU, formed F and G) of the latest green(); one entry at most
+    _green: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -125,8 +135,13 @@ class Network:
 
 
 def _block(trans: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """A read-only copy of ``trans`` restricted to ``rows`` x ``cols``."""
-    out = trans[np.ix_(rows, cols)]
+    """``trans`` restricted to ``rows`` x ``cols`` (each ascending),
+    read-only: a basic-slice view when both are one contiguous run of
+    indices, a copy otherwise."""
+    if rows[-1] - rows[0] + 1 == len(rows) and cols[-1] - cols[0] + 1 == len(cols):
+        out = trans[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    else:
+        out = trans[np.ix_(rows, cols)]
     out.setflags(write=False)
     return out
 

@@ -13,6 +13,7 @@ solvers are validated.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -419,7 +420,14 @@ def audit_binomial_identities(max_depth: int = 20, max_order: int = 8):
     """Exact integer audit of the two candidate binomial identities over
     all 0 <= a < b <= max_depth, 1 <= n <= max_order.
 
-    Returns (derived_ok, alternate_ok, alternate_counterexample)."""
+    Returns (derived_ok, alternate_ok, alternate_counterexample).  The
+    audit is a pure function of its bounds and runs once per pair of
+    bounds in a process."""
+    return _audit(max_depth, max_order)
+
+
+@functools.cache
+def _audit(max_depth: int, max_order: int):
     derived_ok = True
     alternate_ok = True
     counterexample = None

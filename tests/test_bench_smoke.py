@@ -48,3 +48,28 @@ def test_bench_spectral_answers(seed, tmp_path, monkeypatch):
 
     for op in workloads.spectral(polyharm, seed, tmp_path).round:
         assert op.check(op.run()) == [], op.name
+
+
+def test_bench_riquier_rounds_share_the_green_factorisations(tmp_path, monkeypatch):
+    """Two ``riquier`` rounds on one workload: every answer passes the
+    benchmark's check, the first round factors once per (chain, lam) of
+    its five chains and the second, on the same chains, not at all."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    factor, calls = polyharm.bvp.lu_factor, [0]
+
+    def counting(a):
+        calls[0] += 1
+        return factor(a)
+
+    monkeypatch.setattr(polyharm.bvp, "lu_factor", counting)
+    wl = workloads.riquier(polyharm, 7, tmp_path)
+    per_round = []
+    for _ in range(2):
+        calls[0] = 0
+        for op in wl.round:
+            assert op.check(op.run()) == [], op.name
+        per_round.append(calls[0])
+    assert per_round == [5, 0]

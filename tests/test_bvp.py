@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from polyharm import (
     delta_matrix,
     free_polyharmonic_space,
     green,
+    martin_kernel,
     polyharmonic_residual,
+    riquier_via_kernels,
     solve_dirichlet,
     solve_riquier,
 )
@@ -254,6 +259,129 @@ def test_min_pivot_ratio_tracks_distance_to_spectrum():
     lu = gm._lu
     assert gm.min_pivot_ratio == lu.min_pivot_ratio == \
         np.abs(np.diagonal(lu.lu)).min() / lu.scale == nearer
+
+
+# --------------------------------------------- one LU per (chain, lam)
+
+@pytest.fixture
+def factor_counts(monkeypatch):
+    """Counts lu_factor calls made by ``green`` and keeps every right-hand
+    side passed to LUFactorization.solve."""
+    counts = {"factor": 0, "rhs": []}
+    factor, solve = bvp.lu_factor, LUFactorization.solve
+
+    def counting_factor(a):
+        counts["factor"] += 1
+        return factor(a)
+
+    def keeping_solve(self, b):
+        counts["rhs"].append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(bvp, "lu_factor", counting_factor)
+    monkeypatch.setattr(LUFactorization, "solve", keeping_solve)
+    return counts
+
+
+def _every_solver(chain, lam, gs, origin):
+    """Each consumer of the Green factorisation, once, at ``lam``, on the
+    chain that ``chain()`` returns for that call."""
+    return [solve_dirichlet(chain(), lam, gs[0])] + [
+        solve_riquier(RiquierProblem(lam, tuple(gs[:n])), chain()) for n in (1, 2, 3)] + [
+        martin_kernel(chain(), lam, origin, 2), riquier_via_kernels(chain(), lam, origin, gs[:2])]
+
+
+def _arrays(results):
+    for r in results:
+        for name in ("values", "residuals", "k"):
+            if hasattr(r, name):
+                yield getattr(r, name)
+        yield from (r.tower or []) if hasattr(r, "tower") else r.higher
+
+
+def _random_problem(seed, size=60):
+    rng = np.random.default_rng(seed)
+    c = random_chain(rng, size=size)
+    nb = len(c.boundary)
+    gs = [rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(3)]
+    return c, gs
+
+
+def test_every_solver_shares_one_lu_and_one_f(factor_counts):
+    c, gs = _random_problem(20)
+    lam = 1.6 - 0.3j
+    _every_solver(lambda: c, lam, gs, c.interior_ids[3])
+    assert factor_counts["factor"] == 1
+    # F = G Q, nb columns, is solved once for both kernel routes
+    assert sum(b is c.q for b in factor_counts["rhs"]) == 1
+    assert list(c._green) == [complex(lam)]
+
+
+def test_green_shares_the_stored_factorisation(factor_counts, p4):
+    gm = green(p4, 1)
+    for again in (green(p4, 1.0), green(p4, np.complex128(1 + 0j))):
+        assert again._lu is gm._lu and again.f is gm.f and again.g is gm.g
+        assert again.lam == 1 + 0j and type(again.lam) is complex
+    assert factor_counts["factor"] == 1
+    assert sum(b is p4.q for b in factor_counts["rhs"]) == 1
+
+
+def test_a_new_lambda_replaces_the_stored_factorisation(factor_counts, p4):
+    first = green(p4, 1.0)
+    second = green(p4, 2.0)
+    assert second._lu is not first._lu and second.lam == 2.0
+    assert list(p4._green) == [2.0]
+    again = green(p4, 1.0)
+    assert again._lu is not first._lu and list(p4._green) == [1.0]
+    assert factor_counts["factor"] == 3
+    assert np.array_equal(again.f, first.f) and np.array_equal(again.g, first.g)
+
+
+def test_a_chain_no_longer_used_is_freed_at_once():
+    """What the chain keeps does not refer back to it, so dropping the
+    last reference frees the chain and its LU without a cycle collection."""
+    c, _ = _random_problem(23, size=40)
+    gm = green(c, 1.5)
+    gm.f, gm.g
+    refs = weakref.ref(c), weakref.ref(gm._lu)
+    gc.disable()
+    try:
+        del c, gm
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_spectral_lambda_is_refused_every_time_and_never_stored(factor_counts, p4):
+    kept = green(p4, 1.0)
+    for _ in range(3):
+        with pytest.raises(LambdaInSpectrum):
+            green(p4, 0.5)
+        with pytest.raises(LambdaInSpectrum):
+            solve_dirichlet(p4, 0.5, [1.0, 0.0])
+    assert factor_counts["factor"] == 1 + 6
+    assert list(p4._green) == [1.0] and green(p4, 1.0)._lu is kept._lu
+    assert factor_counts["factor"] == 7
+
+
+def test_shared_green_matrix_is_read_only(p4):
+    gm = green(p4, 1.5)
+    for a in (gm.f, gm.g, gm._lu.lu, gm._lu.perm):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_shared_results_match_a_fresh_chain_bit_for_bit():
+    c, gs = _random_problem(21, size=120)
+    lam, origin = -1.2 + 0.7j, c.interior_ids[5]
+    shared = [r for _ in range(2) for r in _every_solver(lambda: c, lam, gs, origin)]
+    fresh = _every_solver(lambda: _random_problem(21, size=120)[0], lam, gs, origin)
+    got, want = list(_arrays(shared)), 2 * list(_arrays(fresh))
+    # values and residuals of 5 solutions, 1 + 2 + 3 tower stages, K, 2 kernel orders
+    assert len(got) == len(want) == 2 * (10 + 6 + 3)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------- residual reporting

@@ -435,6 +435,22 @@ def test_blocks_are_formed_once_and_read_only():
             block[0, 0] = 0.5
 
 
+def test_p_int_and_q_are_views_only_on_a_contiguous_layout():
+    c = random_chain(np.random.default_rng(22), size=40)  # interior, then boundary
+    for block in (c.p_int, c.q):
+        assert np.shares_memory(block, c.trans) and not block.flags.writeable
+    # the same chain with the boundary listed between interior vertices
+    order = [*c.interior[:10], *c.boundary, *c.interior[10:]]
+    ids = [c.vertices[i] for i in order]
+    shuffled = build_chain(ids, c.interior_ids, c.boundary_ids, c.trans[np.ix_(order, order)])
+    for block in (shuffled.p_int, shuffled.q):
+        assert not np.shares_memory(block, shuffled.trans) and not block.flags.writeable
+    assert np.array_equal(shuffled.p_int, c.p_int)
+    assert np.array_equal(shuffled.q, c.q)
+    lam = 1.3 + 0.1j
+    assert np.abs(bvp.green(shuffled, lam).f - bvp.green(c, lam).f).max() < 1e-14
+
+
 def test_green_twice_forms_p_int_once(monkeypatch):
     c = random_chain(np.random.default_rng(6), size=30)
     calls = []

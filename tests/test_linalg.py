@@ -157,14 +157,18 @@ def test_one_solve_per_stage(lu_counts, monkeypatch):
         raise AssertionError("the dense G was read")
 
     monkeypatch.setattr(bvp.GreenMatrix, "g", property(no_dense_green))
-    c = random_chain(np.random.default_rng(9), size=60)
-    nb, lam = len(c.boundary), 1.3 - 0.4j
+
+    def chain():  # a fresh chain for each solver: a chain keeps its LU
+        return random_chain(np.random.default_rng(9), size=60)
+
+    nb, lam = len(chain().boundary), 1.3 - 0.4j
     gs = [np.arange(nb, dtype=float) + r for r in range(3)]
-    for solve, columns in [(lambda: bvp.solve_dirichlet(c, lam, gs[0]), 1)] + [
-            ((lambda n=n: bvp.solve_riquier(bvp.RiquierProblem(lam, tuple(gs[:n])), c)), n)
+    for solve, columns in [(lambda c: bvp.solve_dirichlet(c, lam, gs[0]), 1)] + [
+            ((lambda c, n=n: bvp.solve_riquier(bvp.RiquierProblem(lam, tuple(gs[:n])), c)), n)
             for n in (1, 2, 3)]:
+        c = chain()
         lu_counts["factor"] = lu_counts["columns"] = 0
-        solve()
+        solve(c)
         assert (lu_counts["factor"], lu_counts["columns"]) == (1, columns)
 
 

@@ -15,6 +15,7 @@ from polyharm import (
     section_kernel,
     tree_green,
 )
+from polyharm import tree as treemod
 from polyharm.errors import (
     AdditivityViolation,
     NonPositiveMass,
@@ -316,6 +317,26 @@ def test_kernel_consistency_binary(binary_tree):
     assert not rep.alternate_identity_ok
     assert rep.lhs["u1"] == pytest.approx(-2.0)
     assert rep.lhs["v11"] == pytest.approx(-8.0)
+
+
+def test_kernel_consistency_audits_the_identities_once(binary_tree, monkeypatch):
+    holds, calls = treemod._derived_identity_holds, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(treemod, "_derived_identity_holds", counting)
+    treemod._audit.cache_clear()
+    first = kernel_consistency_check(binary_tree, DEPTH2_SECTION, 1.0, 2, "v11")
+    assert calls[0] == 20 * 21 // 2 * 8  # 0 <= a < b <= 20, 1 <= n <= 8
+    second = kernel_consistency_check(binary_tree, DEPTH2_SECTION, 1.0, 2, "v11")
+    assert calls[0] == 20 * 21 // 2 * 8
+    for name in ("derived_identity_ok", "alternate_identity_ok", "alternate_counterexample",
+                 "max_deviation", "lhs", "rhs"):
+        assert getattr(second, name) == getattr(first, name)
+    assert first.derived_identity_ok and not first.alternate_identity_ok
+    assert first.alternate_counterexample is not None
 
 
 def test_kernel_consistency_order1_exact(binary_tree):
