@@ -336,8 +336,7 @@ def delta_matrix(chain: Chain, lam: complex, n: int = 1) -> np.ndarray:
     return out
 
 
-def free_polyharmonic_space(chain: Chain, lam: complex, n: int,
-                            tol: float = 1e-8) -> list[np.ndarray]:
+def free_polyharmonic_space(chain: Chain, lam: complex, n: int) -> list[np.ndarray]:
     """Basis of {f : Delta_lam^n f = 0 on all of X} for resolvent lam.
 
     On the interior Delta_lam^n f = A^(n-1) (A f_int - Q f_bnd) with
@@ -346,7 +345,6 @@ def free_polyharmonic_space(chain: Chain, lam: complex, n: int,
     indicators (the columns of F extended by deltas) and its dimension is
     the boundary size.  Each basis vector's residual over ``RESIDUAL_RTOL``
     (1 + |lam|)^n max(1, max|v|) raises :class:`ConsistencyError`.
-    ``tol``, the rank threshold of an earlier nullspace check, is ignored.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

@@ -52,8 +52,9 @@ class HittingEstimate:
     ``first_visit[t, j]`` counts trials first absorbed at boundary vertex
     j exactly at step t (row 0 is all zero: starts are interior);
     ``occupancy[t, i]`` counts trials sitting at vertex i at step t,
-    absorbed trials included.  Rows stop at the last recorded step; the
-    occupancy row is constant from there on.
+    absorbed trials included, so ``first_visit`` is the step-to-step
+    growth of the boundary columns of ``occupancy``.  Rows stop at the
+    last recorded step; the occupancy row is constant from there on.
     """
 
     chain: Chain
@@ -166,7 +167,6 @@ def _run_shard(chain: Chain, config: SimConfig, table: tuple[np.ndarray, np.ndar
     pos = np.full(hi - lo, chain.vertex_index(config.start), dtype=np.int64)
     # counts[j] is also the number of absorbed trials sitting at boundary j
     counts = np.zeros(nb, dtype=np.int64)
-    first_visit_rows = [counts.copy()]
     occupancy_rows = [np.bincount(pos, minlength=n)]
 
     step = 0
@@ -182,12 +182,11 @@ def _run_shard(chain: Chain, config: SimConfig, table: tuple[np.ndarray, np.ndar
             counts += first_hits
             live = ~hit
             ids, pos = ids[live], pos[live]
-        first_visit_rows.append(first_hits)
         occ = np.bincount(pos, minlength=n)
         occ[boundary] += counts
         occupancy_rows.append(occ)
 
-    return counts, int(ids.size), np.vstack(first_visit_rows), np.vstack(occupancy_rows)
+    return counts, int(ids.size), np.vstack(occupancy_rows)
 
 
 def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> HittingEstimate:
@@ -214,26 +213,22 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
     bounds = np.linspace(0, config.trials, shards + 1).astype(int)
     total_counts = np.zeros(len(chain.boundary), dtype=np.int64)
     total_censored = 0
-    fv_parts: list[np.ndarray] = []
     occ_parts: list[np.ndarray] = []
     for s in range(shards):
         lo, hi = int(bounds[s]), int(bounds[s + 1])
-        counts, censored, fv, occ = _run_shard(chain, config, table, lo, hi)
+        counts, censored, occ = _run_shard(chain, config, table, lo, hi)
         total_counts += counts
         total_censored += censored
-        fv_parts.append(fv)
         occ_parts.append(occ)
 
-    t_max = max(p.shape[0] for p in fv_parts)
-    first_visit = np.zeros((t_max, len(chain.boundary)), dtype=np.int64)
-    for p in fv_parts:
-        first_visit[: p.shape[0]] += p
     o_max = max(p.shape[0] for p in occ_parts)
     occupancy = np.zeros((o_max, chain.n), dtype=np.int64)
     for p in occ_parts:
         occupancy[: p.shape[0]] += p
         if p.shape[0] < o_max:  # absorbed shards stay where they ended
             occupancy[p.shape[0]:] += p[-1]
+    # absorbed trials sit on the boundary: its occupancy grows by the new hits
+    first_visit = np.diff(occupancy[:, list(chain.boundary)], axis=0, prepend=0)
 
     return HittingEstimate(
         chain=chain,

@@ -9,13 +9,18 @@ Green matrices, Martin kernels and the higher-order kernels all have
 closed forms in the depth, the distance and the masses.  Those closed
 forms are the independent oracles against which the general dense
 solvers are validated.
+
+A section is validated once per tree and sequence of ids, in one
+breadth-first pass that records the restriction's interior and boundary.
+That record is the domain of every closed form on the section and the
+vertex layout of :func:`restrict_to_section`, so the two cannot differ.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping
 
@@ -63,15 +68,18 @@ class ForwardTree:
     forward_p: dict[str, float] = field(repr=False)  # p(parent(x), x), x != root
     max_depth: int = 0
     # accepted sections, keyed by the caller's sequence of ids
-    _sections: dict[tuple, frozenset[str]] = field(default_factory=dict, init=False,
-                                                   repr=False)
+    _sections: dict[tuple, "_Section"] = field(default_factory=dict, init=False, repr=False)
 
     def is_ancestor(self, x: str, y: str) -> bool:
-        """True when ``x`` lies on the root path of ``y`` (x == y counts)."""
-        dx = self.depth[x]
-        v = y
-        while self.depth[v] > dx:
-            v = self.parent[v]  # type: ignore[assignment]
+        """True when ``x`` lies on the root path of ``y`` (x == y counts).
+        An unknown id raises ``ValueError``."""
+        try:
+            dx = self.depth[x]
+            v = y
+            while self.depth[v] > dx:
+                v = self.parent[v]  # type: ignore[assignment]
+        except KeyError as exc:
+            raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
         return v == x
 
     def path_from_root(self, x: str) -> list[str]:
@@ -221,31 +229,44 @@ class BoundaryDistribution:
         return cls(tree, {v: complex(m) for v, m in tree.measure.items()})
 
 
-def _check_section(tree: ForwardTree, section: Collection[str]) -> frozenset[str]:
+# An accepted section and the restriction it cuts out, in the breadth-first
+# order of the tree: ``interior`` (the vertices strictly above the section)
+# and ``boundary`` (the section) as tuples, ``inner`` and ``ids`` as the same
+# two sets for membership tests.
+_Section = namedtuple("_Section", "interior inner boundary ids")
+
+
+def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
+    """Validate a section in one breadth-first pass over the tree and
+    record its restriction; the record fixes the domain of every closed
+    form on that section."""
     key = tuple(section)
     if key in tree._sections:
         return tree._sections[key]
     sec = frozenset(str(s) for s in key)
-    unknown = sec - set(tree.vertices)
+    unknown = [s for s in sec if s not in tree.depth]
     if unknown:
         raise NotASection(f"unknown section vertices {sorted(unknown)}")
     if tree.root in sec:
         raise NotASection("the root cannot belong to a section")
-    # every root-to-frontier path must cross the section exactly once
-    stack = [(tree.root, 0)]
-    while stack:
-        v, hits = stack.pop()
-        hits += v in sec
-        if hits > 1:
+    # every root-to-frontier path must cross the section exactly once;
+    # a parent comes before its children, so its hit count is known
+    hits: dict[str | None, int] = {None: 0}
+    interior, boundary = [], []
+    for v in tree.vertices:
+        h = hits[v] = hits[tree.parent[v]] + (v in sec)
+        if h > 1:
             raise NotASection(f"path through {v!r} meets the section twice")
-        if not tree.children[v]:
-            if hits != 1:
-                raise NotASection(f"path ending at {v!r} misses the section")
-            continue
-        for c in tree.children[v]:
-            stack.append((c, hits))
-    tree._sections[key] = sec  # only accepted sections: a rejection is re-raised every call
-    return sec
+        if not tree.children[v] and h != 1:
+            raise NotASection(f"path ending at {v!r} misses the section")
+        if h == 0:
+            interior.append(v)
+        elif v in sec:
+            boundary.append(v)
+    # only accepted sections are kept: a rejection is re-raised every call
+    rec = tree._sections[key] = _Section(tuple(interior), frozenset(interior),
+                                         tuple(boundary), sec)
+    return rec
 
 
 def restrict_to_section(tree: ForwardTree, section: Collection[str]) -> Chain:
@@ -253,28 +274,17 @@ def restrict_to_section(tree: ForwardTree, section: Collection[str]) -> Chain:
     section: section vertices absorb, strict ancestors keep their
     forward transition probabilities.  The interior block is nilpotent.
     """
-    sec = _check_section(tree, section)
-    interior: list[str] = []
-    boundary: list[str] = []
-    queue = deque([tree.root])
-    while queue:
-        v = queue.popleft()
-        if v in sec:
-            boundary.append(v)
-            continue
-        interior.append(v)
-        for c in tree.children[v]:
-            queue.append(c)
-    vertices = interior + boundary
+    rec = _check_section(tree, section)
+    vertices = rec.interior + rec.boundary
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     p = np.zeros((n, n))
-    for v in interior:
+    for v in rec.interior:
         for c in tree.children[v]:
             p[index[v], index[c]] = tree.measure[c] / tree.measure[v]
-    for w in boundary:
+    for w in rec.boundary:
         p[index[w], index[w]] = 1.0
-    return build_chain(vertices, interior, boundary, p)
+    return build_chain(vertices, rec.interior, rec.boundary, p)
 
 
 def _require_nonzero(lam: complex) -> complex:
@@ -290,9 +300,9 @@ def tree_green(tree: ForwardTree, section: Collection[str], lam: complex,
     lam^(-d(x,y)-1) mass(y)/mass(x) when x is an ancestor of y (or x == y),
     zero off-path."""
     lam = _require_nonzero(lam)
-    sec = _check_section(tree, section)
+    inner = _check_section(tree, section).inner
     for v in (x, y):
-        if v in sec or not _strictly_above(tree, v, sec):
+        if v not in inner:
             raise ValueError(f"{v!r} is not an interior vertex of the restriction")
     if not tree.is_ancestor(x, y):
         return 0j
@@ -300,21 +310,20 @@ def tree_green(tree: ForwardTree, section: Collection[str], lam: complex,
     return lam ** (-d - 1) * (tree.measure[y] / tree.measure[x])
 
 
-def _strictly_above(tree: ForwardTree, v: str, sec: frozenset[str]) -> bool:
-    return not any(u in sec for u in tree.path_from_root(v))
-
-
 def section_kernel(tree: ForwardTree, section: Collection[str], lam: complex,
                    r: int, x: str, w: str) -> complex:
     """Closed-form order-r kernel of the section restriction:
     lam^(|x|-r+1) C(d(x,w)+r-2, r-1) / mass(x) when w sits below x, zero
-    otherwise.  Order 1 is the Martin kernel itself."""
+    otherwise.  Order 1 is the Martin kernel itself.  ``x`` must be a
+    vertex of the restriction: interior or on the section."""
     lam = _require_nonzero(lam)
-    sec = _check_section(tree, section)
+    rec = _check_section(tree, section)
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    if w not in sec:
+    if w not in rec.ids:
         raise ValueError(f"{w!r} is not a section vertex")
+    if x not in rec.inner and x not in rec.ids:
+        raise ValueError(f"{x!r} is not a vertex of the restriction")
     if not tree.is_ancestor(x, w):
         return 0j
     d = tree.depth[w] - tree.depth[x]
@@ -365,7 +374,10 @@ def eval_polyharmonic(tree: ForwardTree, lam: complex, distributions, x: str) ->
     ]
     if not nus:
         raise ValueError("need at least one distribution")
-    dx = tree.depth[x]
+    try:
+        dx = tree.depth[x]
+    except KeyError:
+        raise ValueError(f"unknown vertex {x!r}") from None
     total = 0j
     for r, nu in enumerate(nus, start=1):
         coeff = ((-1) ** (r - 1)) * lam ** (dx - (r - 1)) * binomial(dx, r - 1)
@@ -456,7 +468,7 @@ def kernel_consistency_check(tree: ForwardTree, section: Collection[str],
     binomial identity (and its rejected variant) is audited exactly.
     """
     lam = _require_nonzero(lam)
-    sec = _check_section(tree, section)
+    sec = _check_section(tree, section).ids
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if w not in sec:

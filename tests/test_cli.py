@@ -445,3 +445,23 @@ def test_float_flags_must_be_positive_and_finite(name, p4_file, capsys):
     assert captured.out == ""
     assert f"argument {flag}: " in captured.err and "positive finite" in captured.err
     assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+UNKNOWN_TREE_IDS = {
+    "green": ["--x", "o", "--y", "bogus"],
+    "kr": ["--x", "bogus", "--w", "v11"],
+    "ktr": ["--x", "o", "--arc", "bogus"],
+    "eval": ["--x", "bogus"],
+}
+
+
+@pytest.mark.parametrize("subop", sorted(UNKNOWN_TREE_IDS))
+def test_tree_unknown_vertex_id_exit2(subop, tree_file, tmp_path, capsys):
+    nu = _g(tmp_path, "nu.json", TREE_DOC["measure"])
+    code = main(["tree", tree_file, subop, "--lambda", "1", "--nu", nu]
+                + UNKNOWN_TREE_IDS[subop])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'bogus'" in captured.err
+    assert "Traceback" not in captured.err

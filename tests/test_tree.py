@@ -132,6 +132,47 @@ def test_section_walked_once(binary_tree):
     assert binary_tree.children.reads == first
 
 
+def test_tree_green_domain_is_the_restriction_interior():
+    rng = np.random.default_rng(137)
+    for _ in range(20):
+        t = random_tree(rng)
+        sec = random_section(rng, t)
+        c = restrict_to_section(t, sec)
+        accepted = []
+        for v in t.vertices + ("bogus", ""):
+            try:
+                tree_green(t, sec, 1.0, v, v)
+            except ValueError as exc:
+                assert repr(v) in str(exc)
+            else:
+                accepted.append(v)
+        assert tuple(accepted) == c.interior_ids
+
+
+def test_section_kernel_refuses_x_off_the_restriction(binary_tree):
+    s = ["u1", "u2"]
+    for x in ("v11", "v22", "bogus"):
+        with pytest.raises(ValueError, match=f"{x!r} is not a vertex of the restriction"):
+            section_kernel(binary_tree, s, 1.0, 1, x, "u1")
+    # interior and section vertices are both in the domain
+    assert section_kernel(binary_tree, s, 1.0, 1, "o", "u1") == pytest.approx(1.0)
+    assert section_kernel(binary_tree, s, 1.0, 1, "u1", "u1") == pytest.approx(2.0)
+    assert section_kernel(binary_tree, s, 1.0, 1, "u2", "u1") == 0.0
+
+
+def test_unknown_vertex_ids_raise_value_error(binary_tree):
+    prob = BoundaryDistribution.from_measure(binary_tree)
+    calls = [
+        lambda: binary_tree.is_ancestor("bogus", "u1"),
+        lambda: binary_tree.is_ancestor("u1", "bogus"),
+        lambda: boundary_kernel(binary_tree, 1.0, 1, "o", "bogus"),
+        lambda: eval_polyharmonic(binary_tree, 1.0, [prob], "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown vertex 'bogus'"):
+            call()
+
+
 def test_restriction_is_nilpotent():
     rng = np.random.default_rng(101)
     for _ in range(10):
