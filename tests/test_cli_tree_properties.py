@@ -9,7 +9,7 @@ import tempfile
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
