@@ -6,10 +6,14 @@ over pivot thresholds, because "singular" is a semantic signal (the
 resolvent parameter hit the spectrum), not just a numerical accident.
 So the LU (:func:`lu_factor`, threshold ``PIVOT_RTOL``) and the
 rank-revealing nullspace (:func:`nullspace_info`) are ours: pivot
-search, threshold and rank.  The complete-pivot elimination behind the
-nullspace runs on a stack of matrices at once, each with its own pivots,
-threshold and stopping step, so a caller with many rank questions of one
-size asks them in one batch.  Steps that decide nothing are LAPACK's:
+search, threshold and rank.  The LU eliminates column by column inside
+each panel; its solves are matrix products only, with the inverses of
+the diagonal panels' triangles that each LU forms once (an explicit
+triangular inverse is accurate to that block's condition: Du Croz &
+Higham, IMA J. Numer. Anal. 1992).  The complete-pivot elimination
+behind the nullspace runs on a stack of matrices at once, each with its
+own pivots, threshold and stopping step, so a caller with many rank
+questions of one size asks them in one batch.  Steps that decide nothing are LAPACK's:
 the Householder QR that orthonormalises a kernel basis.
 
 Eigenvalues carry no such meaning and come from LAPACK
@@ -21,7 +25,7 @@ multiplicities.  Sizes are desk scale (a few hundred at most).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,33 +54,65 @@ def as_matrix(a) -> np.ndarray:
 
 # ------------------------------------------------------------------- LU
 
-# Columns per panel of the blocked LU and of its back-substitution.  Work
-# inside a panel is per column; everything to its right or below is one
-# matrix product, which is where BLAS earns its keep.
+# Columns per panel of the blocked LU and of its back-substitution.  In
+# the factorisation, work inside a panel is per column; everything to its
+# right or below is one matrix product, which is where BLAS earns its
+# keep.  A solve is all products: each diagonal panel's triangles are
+# inverted once per LU.
 PANEL = 48
 
 
 @dataclass
 class LUFactorization:
-    """Compact LU with partial pivoting (Doolittle, L unit lower)."""
+    """Compact LU with partial pivoting (Doolittle, L unit lower).
+
+    The first :meth:`solve` inverts the unit-L and the U triangle of each
+    ``PANEL``-wide diagonal block and keeps the inverses, read-only, for
+    every later solve: at most 2 * k * PANEL complex numbers for a k x k
+    LU (0.31 MB at k = 215).
+    """
 
     lu: np.ndarray
     perm: np.ndarray
     scale: float
+    _inverses: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def min_pivot_ratio(self) -> float:
         """min |u_kk| / max|A|: the number the :class:`Singular` test
-        compares with ``pivot_rtol``.  Small means A is nearly singular."""
+        compares with ``pivot_rtol``.  Small means A is nearly singular
+        (infinite for the empty matrix)."""
+        if not self.lu.size:
+            return float("inf")
         return float(np.abs(np.diagonal(self.lu)).min()) / self.scale
+
+    def _panel_inverses(self) -> tuple:
+        """(L11^-1, U11^-1) of every diagonal panel, by row substitution
+        on the identity."""
+        lu, out = self.lu, []
+        for j0 in range(0, len(lu), PANEL):
+            d = lu[j0:j0 + PANEL, j0:j0 + PANEL]
+            linv, uinv = np.eye(len(d), dtype=complex), np.eye(len(d), dtype=complex)
+            for k in range(1, len(d)):  # L11 X = I
+                linv[k] -= d[k, :k] @ linv[:k]
+            for k in range(len(d) - 1, -1, -1):  # U11 X = I
+                uinv[k] -= d[k, k + 1:] @ uinv[k + 1:]
+                uinv[k] /= d[k, k]
+            linv.setflags(write=False)
+            uinv.setflags(write=False)
+            out.append((linv, uinv))
+        return tuple(out)
 
     def solve(self, b) -> np.ndarray:
         """Back-substitute for one or many right-hand sides.
 
-        Blocked like the factorisation: substitution inside each
-        diagonal panel, one matrix product for the rows outside it.
+        Blocked like the factorisation: per diagonal panel, one product
+        with its kept triangular inverse, then one matrix product for the
+        rows outside it.
         """
         rhs = np.array(b, dtype=complex)
+        if rhs.ndim not in (1, 2):
+            raise ValueError(f"rhs must be a vector or a matrix, got ndim={rhs.ndim}")
         squeeze = rhs.ndim == 1
         if squeeze:
             rhs = rhs[:, None]
@@ -84,18 +120,17 @@ class LUFactorization:
         n = lu.shape[0]
         if rhs.shape[0] != n:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {n}")
+        if self._inverses is None:
+            self._inverses = self._panel_inverses()
         x = rhs[self.perm]
-        starts = range(0, n, PANEL)
-        for j0 in starts:  # forward: L y = P b
-            j1 = min(j0 + PANEL, n)
-            for k in range(j0 + 1, j1):
-                x[k] -= lu[k, j0:k] @ x[j0:k]
+        panels = list(zip(range(0, n, PANEL), self._inverses))
+        for j0, (linv, _) in panels:  # forward: L y = P b
+            j1 = j0 + len(linv)
+            x[j0:j1] = linv @ x[j0:j1]
             x[j1:] -= lu[j1:, j0:j1] @ x[j0:j1]
-        for j0 in reversed(starts):  # backward: U x = y
-            j1 = min(j0 + PANEL, n)
-            for k in range(j1 - 1, j0 - 1, -1):
-                x[k] -= lu[k, k + 1:j1] @ x[k + 1:j1]
-                x[k] /= lu[k, k]
+        for j0, (_, uinv) in reversed(panels):  # backward: U x = y
+            j1 = j0 + len(uinv)
+            x[j0:j1] = uinv @ x[j0:j1]
             x[:j0] -= lu[:j0, j0:j1] @ x[j0:j1]
         return x[:, 0] if squeeze else x
 

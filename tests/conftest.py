@@ -1,9 +1,22 @@
 """Shared fixtures: canonical small chains and random instance generators."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
 from polyharm import Chain, ForwardTree, build_chain, build_tree
+
+try:  # the property tests skip when hypothesis is missing
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:
+    pass
+else:
+    # hypothesis caches the constants it reads from the source in its home
+    # directory (by default ./.hypothesis) while pytest collects; point it at
+    # a directory that is removed when the interpreter exits
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture
@@ -185,3 +198,18 @@ def oracle_problems(sol, chain: Chain, lam: complex, gs, rel: float = 1e-8) -> l
     if sol.tower is not None and len(sol.tower) != len(gs):
         out.append(f"{len(sol.tower)} stages for order {len(gs)}")
     return out
+
+
+def backward_error(a, x, b) -> float:
+    """Worst normwise backward error over the columns of a solution:
+    |Ax - b|_inf / (|A|_inf |x|_inf + |b|_inf)."""
+    k = len(a)
+    x, b = np.reshape(x, (k, -1)), np.reshape(b, (k, -1))
+    norm_a = np.abs(a).sum(axis=1).max()
+    resid = np.abs(a @ x - b).max(axis=0)
+    return float((resid / (norm_a * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max())
+
+
+def solve_bound(k: int) -> float:
+    """The backward error a solve with a k x k LU must stay within."""
+    return max(k, 4) * float(np.finfo(float).eps)

@@ -50,21 +50,20 @@ def test_bench_spectral_answers(seed, tmp_path, monkeypatch):
         assert op.check(op.run()) == [], op.name
 
 
-def test_bench_riquier_rounds_share_the_green_factorisations(tmp_path, monkeypatch):
-    """Two ``riquier`` rounds on one workload: every answer passes the
-    benchmark's check, the first round factors once per (chain, lam) of
-    its five chains and the second, on the same chains, not at all."""
+def _calls_per_riquier_round(tmp_path, monkeypatch, owner, attr):
+    """Two ``riquier`` rounds on one workload, every answer passing the
+    benchmark's check: the calls to ``owner.attr`` in each."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     import workloads
 
-    factor, calls = polyharm.bvp.lu_factor, [0]
+    fn, calls = getattr(owner, attr), [0]
 
-    def counting(a):
+    def counting(*args):
         calls[0] += 1
-        return factor(a)
+        return fn(*args)
 
-    monkeypatch.setattr(polyharm.bvp, "lu_factor", counting)
+    monkeypatch.setattr(owner, attr, counting)
     wl = workloads.riquier(polyharm, 7, tmp_path)
     per_round = []
     for _ in range(2):
@@ -72,4 +71,17 @@ def test_bench_riquier_rounds_share_the_green_factorisations(tmp_path, monkeypat
         for op in wl.round:
             assert op.check(op.run()) == [], op.name
         per_round.append(calls[0])
-    assert per_round == [5, 0]
+    return per_round
+
+
+def test_bench_riquier_rounds_share_the_green_factorisations(tmp_path, monkeypatch):
+    """The first round factors once per (chain, lam) of its five chains
+    and the second, on the same chains, not at all."""
+    assert _calls_per_riquier_round(tmp_path, monkeypatch, polyharm.bvp, "lu_factor") == [5, 0]
+
+
+def test_bench_riquier_rounds_share_the_panel_inverses(tmp_path, monkeypatch):
+    """Each kept factorisation inverts its diagonal panels once, on its
+    first solve, and never again."""
+    assert _calls_per_riquier_round(tmp_path, monkeypatch, polyharm.linalg.LUFactorization,
+                                    "_panel_inverses") == [5, 0]

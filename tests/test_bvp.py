@@ -372,6 +372,31 @@ def test_shared_green_matrix_is_read_only(p4):
             a[0] = 0
 
 
+def test_the_kept_panel_inverses_are_read_only_and_follow_lam(monkeypatch):
+    formed, inverses = [], LUFactorization._panel_inverses
+
+    def counting(self):
+        formed.append(self)
+        return inverses(self)
+
+    monkeypatch.setattr(LUFactorization, "_panel_inverses", counting)
+    c, gs = _random_problem(24, size=150)  # 3 panels
+    solve_dirichlet(c, 1.5, gs[0])
+    solve_riquier(RiquierProblem(1.5, tuple(gs)), c)
+    first = green(c, 1.5)._lu
+    kept = first._inverses
+    assert formed == [first] and len(kept) == 3
+    for linv, uinv in kept:
+        for a in (linv, uinv):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+    solve_dirichlet(c, -1.5j, gs[0])
+    second = green(c, -1.5j)._lu
+    assert formed == [first, second] and second._inverses is not kept
+    assert first._inverses is kept
+
+
 def test_shared_results_match_a_fresh_chain_bit_for_bit():
     c, gs = _random_problem(21, size=120)
     lam, origin = -1.2 + 0.7j, c.interior_ids[5]

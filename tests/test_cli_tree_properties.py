@@ -5,19 +5,11 @@ traceback."""
 import contextlib
 import io
 import json
-import tempfile
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
-
-# hypothesis caches the constants it reads from the source in its home
-# directory (by default ./.hypothesis) while pytest collects; point it at a
-# directory that is removed when the interpreter exits
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 from polyharm.cli import main  # noqa: E402
 

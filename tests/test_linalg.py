@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from polyharm import build_network, bvp, martin
-from polyharm.errors import Singular
+from polyharm import RiquierProblem, build_network, bvp, martin, solve_riquier
+from polyharm.errors import Singular, TowerMismatch
 from polyharm import linalg, spectral
 from polyharm.linalg import (
     PANEL,
@@ -17,7 +17,7 @@ from polyharm.linalg import (
     residual_inf,
 )
 
-from conftest import random_chain
+from conftest import backward_error, random_chain, solve_bound
 
 
 def test_identity_solve():
@@ -110,6 +110,91 @@ def test_singular_column_past_first_panel():
     a[:, 60] = a[:, 3] - 2.0 * a[:, 17] + 0.5 * a[:, 59]
     with pytest.raises(Singular, match=r"at column 60 "):
         lu_factor(a)
+
+
+# one and two panel widths, either side of each, and the interior size of
+# random_chain(default_rng(0), size=300)
+@pytest.mark.parametrize("k", [1, 2, PANEL - 1, PANEL, PANEL + 1,
+                               2 * PANEL - 1, 2 * PANEL, 2 * PANEL + 1, 215])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_panel_solve_at_the_panel_edges(k, cplx):
+    rng = np.random.default_rng(k + 1000 * cplx)
+    a = _random_matrix(rng, k, cplx)
+    fac = lu_factor(a)
+    for b in (_random_matrix(rng, k, cplx)[:, 0], _random_matrix(rng, k, cplx)[:, :7]):
+        x = fac.solve(b)
+        want = np.linalg.solve(a, b)
+        assert x.shape == want.shape
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+        assert backward_error(a, x, b) <= solve_bound(k)
+
+
+def _row_substitution_solve(fac, b):
+    """Reference: the blocked solve with row-by-row substitution inside
+    each diagonal panel, no kept inverses."""
+    x = np.array(b, dtype=complex)[fac.perm]
+    lu, n = fac.lu, len(fac.lu)
+    starts = range(0, n, PANEL)
+    for j0 in starts:
+        j1 = min(j0 + PANEL, n)
+        for k in range(j0 + 1, j1):
+            x[k] -= lu[k, j0:k] @ x[j0:k]
+        x[j1:] -= lu[j1:, j0:j1] @ x[j0:j1]
+    for j0 in reversed(starts):
+        j1 = min(j0 + PANEL, n)
+        for k in range(j1 - 1, j0 - 1, -1):
+            x[k] -= lu[k, k + 1:j1] @ x[k + 1:j1]
+            x[k] /= lu[k, k]
+        x[:j0] -= lu[:j0, j0:j1] @ x[j0:j1]
+    return x
+
+
+def _riquier_outcome(chain, lam, gs):
+    try:
+        solve_riquier(RiquierProblem(lam, gs), chain)
+    except TowerMismatch:
+        return "TowerMismatch"
+    return "pass"
+
+
+@pytest.mark.parametrize("size", [40, 300])
+def test_near_spectrum_solves(size, monkeypatch):
+    """lam at 1e-6, 1e-9 and 1e-11 (relative) from each of the four
+    largest eigenvalues: the solve keeps its backward error, and a tower
+    passes or fails its checks as it does with row substitution."""
+    rng = np.random.default_rng(size)
+    c = random_chain(rng, size=size)
+    k, nb = len(c.interior), len(c.boundary)
+    gs = tuple(rng.standard_normal(nb) + 1j * rng.standard_normal(nb) for _ in range(3))
+    b = np.column_stack([c.q, rng.standard_normal(k)])
+    ev = np.linalg.eigvals(c.p_int)
+    panel_solve, ratios = LUFactorization.solve, []
+    for z in ev[np.argsort(-np.abs(ev))[:4]]:
+        for d in (1e-6, 1e-9, 1e-11):
+            lam = z * (1 + d)
+            a = lam * np.eye(k) - c.p_int
+            fac = lu_factor(a)
+            ratios.append(fac.min_pivot_ratio)
+            assert backward_error(a, fac.solve(b), b) <= solve_bound(k)
+            outcomes = []
+            for solve in (_row_substitution_solve, panel_solve):
+                monkeypatch.setattr(LUFactorization, "solve", solve)
+                outcomes.append(_riquier_outcome(c, lam, gs))
+            assert outcomes[0] == outcomes[1], (z, d)
+    assert min(ratios) < 1e-8
+
+
+@pytest.mark.parametrize("b", [np.float64(1.0), np.ones((3, 2, 1))])
+def test_solve_refuses_a_rhs_that_is_not_a_vector_or_a_matrix(b):
+    with pytest.raises(ValueError,
+                       match=f"rhs must be a vector or a matrix, got ndim={np.ndim(b)}"):
+        lu_factor(np.eye(3)).solve(b)
+
+
+def test_the_empty_lu_has_no_small_pivot():
+    fac = lu_factor(np.zeros((0, 0)))
+    assert fac.min_pivot_ratio == float("inf")
+    assert fac.solve(np.zeros(0)).shape == (0,)
 
 
 @pytest.fixture
