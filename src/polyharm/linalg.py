@@ -62,7 +62,7 @@ def as_matrix(a) -> np.ndarray:
 PANEL = 48
 
 
-@dataclass
+@dataclass(eq=False)
 class LUFactorization:
     """Compact LU with partial pivoting (Doolittle, L unit lower).
 
@@ -75,7 +75,7 @@ class LUFactorization:
     lu: np.ndarray
     perm: np.ndarray
     scale: float
-    _inverses: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _inverses: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def min_pivot_ratio(self) -> float:
@@ -193,7 +193,7 @@ def residual_inf(a, x, b) -> float:
 
 # ------------------------------------------------------------ nullspace
 
-@dataclass
+@dataclass(eq=False)
 class EchelonInfo:
     """Rank decision diagnostics from complete-pivot elimination."""
 

@@ -14,6 +14,9 @@ A section is validated once per tree and sequence of ids, in one
 breadth-first pass that records the restriction's interior and boundary.
 That record is the domain of every closed form on the section and the
 vertex layout of :func:`restrict_to_section`, so the two cannot differ.
+It also holds each of its vertices' preorder interval, depth and mass,
+so a closed-form entry is a few dict reads: ``x`` is an ancestor of
+``y`` exactly when ``tin(x) <= tin(y) < tout(x)``.
 """
 
 from __future__ import annotations
@@ -54,9 +57,14 @@ class ForwardTree:
 
     Every vertex of depth < D has at least one child (no interior
     leaves); vertices at depth D are the storage frontier.  Both the
-    measure and the equivalent forward probabilities are kept.  The tree
-    is not changed after :func:`build_tree`, so the sections it has
-    accepted are remembered and not walked again.
+    measure and the equivalent forward probabilities are kept, and each
+    vertex's preorder interval ``[tin, tout)``: the preorder numbers of
+    its subtree, so ancestry is one comparison.  The tree is not changed
+    after :func:`build_tree`, so the sections it has accepted are
+    remembered and not walked again.  The last section accepted as a
+    ``list`` is also kept with a copy of its ids: a call that passes that
+    same list object, with contents still equal to the copy, skips the
+    lookup by ids.
     """
 
     root: str
@@ -67,20 +75,21 @@ class ForwardTree:
     measure: dict[str, float] = field(repr=False)
     forward_p: dict[str, float] = field(repr=False)  # p(parent(x), x), x != root
     max_depth: int = 0
+    _interval: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
     # accepted sections, keyed by the caller's sequence of ids
     _sections: dict[tuple, "_Section"] = field(default_factory=dict, init=False, repr=False)
+    # (list, copy of its ids, record) of the last section accepted as a list
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def is_ancestor(self, x: str, y: str) -> bool:
         """True when ``x`` lies on the root path of ``y`` (x == y counts).
         An unknown id raises ``ValueError``."""
         try:
-            dx = self.depth[x]
-            v = y
-            while self.depth[v] > dx:
-                v = self.parent[v]  # type: ignore[assignment]
+            tx, ox = self._interval[x]
+            ty = self._interval[y][0]
         except KeyError as exc:
             raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
-        return v == x
+        return tx <= ty < ox
 
     def path_from_root(self, x: str) -> list[str]:
         path = [x]
@@ -146,6 +155,18 @@ def build_tree(
                 f"tree is stored to depth {max_depth}"
             )
     children = {v: kids.get(v, ()) for v in order}
+    # preorder intervals: subtree sizes bottom-up, then each child starts
+    # right after its parent and earlier siblings' subtrees
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]  # type: ignore[index]
+    tin = {root: 0}
+    for v in order:
+        t = tin[v] + 1
+        for c in children[v]:
+            tin[c] = t
+            t += size[c]
+    interval = {v: (tin[v], tin[v] + size[v]) for v in order}
 
     if (measure is None) == (forward_probs is None):
         raise ValueError("give exactly one of measure or forward_probs")
@@ -197,6 +218,7 @@ def build_tree(
         measure=mass,
         forward_p=fp,
         max_depth=max_depth,
+        _interval=interval,
     )
 
 
@@ -232,17 +254,29 @@ class BoundaryDistribution:
 # An accepted section and the restriction it cuts out, in the breadth-first
 # order of the tree: ``interior`` (the vertices strictly above the section)
 # and ``boundary`` (the section) as tuples, ``inner`` and ``ids`` as the same
-# two sets for membership tests.
+# two sets, each a dict from vertex to (tin, tout, depth, mass).
 _Section = namedtuple("_Section", "interior inner boundary ids")
 
 
 def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
-    """Validate a section in one breadth-first pass over the tree and
-    record its restriction; the record fixes the domain of every closed
-    form on that section."""
+    """The record of an accepted section: from the last-list memo, else
+    by its ids, else from a new walk; the record fixes the domain of
+    every closed form on that section."""
+    last = tree._last
+    if last is not None and section is last[0] and section == last[1]:
+        return last[2]
     key = tuple(section)
-    if key in tree._sections:
-        return tree._sections[key]
+    rec = tree._sections.get(key)
+    if rec is None:  # a rejected section raises here on every call
+        rec = tree._sections[key] = _walk_section(tree, key)
+    if type(section) is list:
+        tree._last = (section, list(key), rec)
+    return rec
+
+
+def _walk_section(tree: ForwardTree, key: tuple) -> _Section:
+    """Validate a section in one breadth-first pass over the tree and
+    record its restriction."""
     sec = frozenset(str(s) for s in key)
     unknown = [s for s in sec if s not in tree.depth]
     if unknown:
@@ -263,10 +297,9 @@ def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
             interior.append(v)
         elif v in sec:
             boundary.append(v)
-    # only accepted sections are kept: a rejection is re-raised every call
-    rec = tree._sections[key] = _Section(tuple(interior), frozenset(interior),
-                                         tuple(boundary), sec)
-    return rec
+    iv, depth, mass = tree._interval, tree.depth, tree.measure
+    inner, ids = ({v: (*iv[v], depth[v], mass[v]) for v in vs} for vs in (interior, boundary))
+    return _Section(tuple(interior), inner, tuple(boundary), ids)
 
 
 def restrict_to_section(tree: ForwardTree, section: Collection[str]) -> Chain:
@@ -301,13 +334,15 @@ def tree_green(tree: ForwardTree, section: Collection[str], lam: complex,
     zero off-path."""
     lam = _require_nonzero(lam)
     inner = _check_section(tree, section).inner
-    for v in (x, y):
-        if v not in inner:
-            raise ValueError(f"{v!r} is not an interior vertex of the restriction")
-    if not tree.is_ancestor(x, y):
+    try:
+        tx, ox, dx, mx = inner[x]
+        ty, _, dy, my = inner[y]
+    except KeyError as exc:
+        raise ValueError(
+            f"{exc.args[0]!r} is not an interior vertex of the restriction") from None
+    if not tx <= ty < ox:
         return 0j
-    d = tree.depth[y] - tree.depth[x]
-    return lam ** (-d - 1) * (tree.measure[y] / tree.measure[x])
+    return lam ** (dx - dy - 1) * (my / mx)
 
 
 def section_kernel(tree: ForwardTree, section: Collection[str], lam: complex,
@@ -320,15 +355,18 @@ def section_kernel(tree: ForwardTree, section: Collection[str], lam: complex,
     rec = _check_section(tree, section)
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    if w not in rec.ids:
+    fw = rec.ids.get(w)
+    if fw is None:
         raise ValueError(f"{w!r} is not a section vertex")
-    if x not in rec.inner and x not in rec.ids:
+    fx = rec.inner.get(x) or rec.ids.get(x)
+    if fx is None:
         raise ValueError(f"{x!r} is not a vertex of the restriction")
-    if not tree.is_ancestor(x, w):
+    tx, ox, dx, mx = fx
+    tw, _, dw, _ = fw
+    if not tx <= tw < ox:
         return 0j
-    d = tree.depth[w] - tree.depth[x]
-    c = binomial(d + r - 2, r - 1)
-    return lam ** (tree.depth[x] - r + 1) * c / tree.measure[x]
+    c = binomial(dw - dx + r - 2, r - 1)
+    return lam ** (dx - r + 1) * c / mx
 
 
 def boundary_kernel(tree: ForwardTree, lam: complex, r: int, x: str,

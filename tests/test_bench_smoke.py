@@ -50,20 +50,13 @@ def test_bench_spectral_answers(seed, tmp_path, monkeypatch):
         assert op.check(op.run()) == [], op.name
 
 
-def _calls_per_riquier_round(tmp_path, monkeypatch, owner, attr):
+def _per_riquier_round(tmp_path, monkeypatch, calls):
     """Two ``riquier`` rounds on one workload, every answer passing the
-    benchmark's check: the calls to ``owner.attr`` in each."""
+    benchmark's check: the count in ``calls[0]`` over each."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     import workloads
 
-    fn, calls = getattr(owner, attr), [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return fn(*args)
-
-    monkeypatch.setattr(owner, attr, counting)
     wl = workloads.riquier(polyharm, 7, tmp_path)
     per_round = []
     for _ in range(2):
@@ -72,6 +65,18 @@ def _calls_per_riquier_round(tmp_path, monkeypatch, owner, attr):
             assert op.check(op.run()) == [], op.name
         per_round.append(calls[0])
     return per_round
+
+
+def _calls_per_riquier_round(tmp_path, monkeypatch, owner, attr):
+    """The calls to ``owner.attr`` in each of two ``riquier`` rounds."""
+    fn, calls = getattr(owner, attr), [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return _per_riquier_round(tmp_path, monkeypatch, calls)
 
 
 def test_bench_riquier_rounds_share_the_green_factorisations(tmp_path, monkeypatch):
@@ -85,3 +90,31 @@ def test_bench_riquier_rounds_share_the_panel_inverses(tmp_path, monkeypatch):
     first solve, and never again."""
     assert _calls_per_riquier_round(tmp_path, monkeypatch, polyharm.linalg.LUFactorization,
                                     "_panel_inverses") == [5, 0]
+
+
+def test_bench_riquier_rounds_hit_the_last_section(tmp_path, monkeypatch):
+    """Every closed-form call of a round passes the same section list as
+    the restriction made at set-up, so no call looks the section up by
+    its ids."""
+    calls, build = [0], polyharm.build_tree
+
+    class CountingSections(dict):
+        def __contains__(self, key):
+            calls[0] += 1
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            calls[0] += 1
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            calls[0] += 1
+            return super().get(key, default)
+
+    def counting_build(*args, **kwargs):
+        tree = build(*args, **kwargs)
+        tree._sections = CountingSections()
+        return tree
+
+    monkeypatch.setattr(polyharm, "build_tree", counting_build)
+    assert _per_riquier_round(tmp_path, monkeypatch, calls) == [0, 0]

@@ -197,6 +197,12 @@ def test_the_empty_lu_has_no_small_pivot():
     assert fac.solve(np.zeros(0)).shape == (0,)
 
 
+def test_lu_factorizations_compare_by_identity():
+    # numpy fields have no single truth value; == is identity, as on GreenMatrix
+    a, b = lu_factor([[2, 1], [1, 3]]), lu_factor([[2, 1], [1, 3]])
+    assert a == a and a != b
+
+
 @pytest.fixture
 def lu_counts(monkeypatch):
     """Counts lu_factor calls made by the solvers and the right-hand-side
@@ -297,6 +303,12 @@ def test_nullspace_quality_random():
             assert np.abs(a @ x).max() <= 10 * tol * scale
             for y in basis[:i]:
                 assert abs(y.conj() @ x) < 1e-10
+
+
+def test_echelon_infos_compare_by_identity():
+    (_, a), (_, b) = nullspace_info(np.eye(3), 1e-10), nullspace_info(np.eye(3), 1e-10)
+    assert len(a.pivots) == 3
+    assert a == a and a != b
 
 
 def reference_nullspace_info(a, tol):

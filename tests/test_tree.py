@@ -129,7 +129,50 @@ def test_section_walked_once(binary_tree):
         tree_green(binary_tree, s, 2.0, "o", "u1")
         section_kernel(binary_tree, s, 1.0, 2, "o", "v11")
         kernel_consistency_check(binary_tree, s, 1.0, 2, "v11")
+        # a fresh list or a tuple of the same ids finds the kept record
+        tree_green(binary_tree, list(s), 2.0, "o", "u1")
+        section_kernel(binary_tree, tuple(s), 1.0, 2, "o", "v11")
     assert binary_tree.children.reads == first
+    assert treemod._check_section(binary_tree, list(s)) is treemod._check_section(binary_tree, s)
+
+
+def test_section_list_edited_in_place(binary_tree):
+    s = list(DEPTH2_SECTION)
+    assert tree_green(binary_tree, s, 1.0, "o", "u1") == pytest.approx(0.5)
+    assert section_kernel(binary_tree, s, 1.0, 1, "u1", "v11") == pytest.approx(2.0)
+    s[:] = ["u2", "u1"]  # another valid section, same list object
+    with pytest.raises(ValueError, match="'u1' is not an interior vertex"):
+        tree_green(binary_tree, s, 1.0, "o", "u1")
+    with pytest.raises(ValueError, match="'v11' is not a section vertex"):
+        section_kernel(binary_tree, s, 1.0, 1, "u1", "v11")
+    for x in ("o", "u1", "u2"):
+        for w in s:
+            assert section_kernel(binary_tree, s, 1.5, 2, x, w) == \
+                section_kernel(binary_tree, ("u2", "u1"), 1.5, 2, x, w)
+    assert restrict_to_section(binary_tree, s).interior_ids == ("o",)
+
+
+def test_section_list_edited_to_an_invalid_one(binary_tree):
+    s = list(DEPTH2_SECTION)
+    assert tree_green(binary_tree, s, 1.0, "o", "o") == pytest.approx(1.0)
+    s[0] = "u1"  # u1 and v12 lie on one path
+    for _ in range(3):
+        with pytest.raises(NotASection, match="meets the section twice"):
+            tree_green(binary_tree, s, 1.0, "o", "o")
+        with pytest.raises(NotASection, match="meets the section twice"):
+            section_kernel(binary_tree, s, 1.0, 1, "o", "v12")
+    s[0] = "v11"
+    assert tree_green(binary_tree, s, 1.0, "o", "o") == pytest.approx(1.0)
+
+
+def test_tuple_and_set_sections(binary_tree):
+    want_g = tree_green(binary_tree, list(DEPTH2_SECTION), 1.3, "o", "u2")
+    want_k = section_kernel(binary_tree, list(DEPTH2_SECTION), 1.3, 2, "u2", "v21")
+    for s in (tuple(DEPTH2_SECTION), set(DEPTH2_SECTION), frozenset(DEPTH2_SECTION)):
+        for _ in range(2):
+            assert tree_green(binary_tree, s, 1.3, "o", "u2") == want_g
+            assert section_kernel(binary_tree, s, 1.3, 2, "u2", "v21") == want_k
+            assert restrict_to_section(binary_tree, s).interior_ids == ("o", "u1", "u2")
 
 
 def test_tree_green_domain_is_the_restriction_interior():
@@ -249,6 +292,39 @@ def test_closed_kernel_matches_general():
                     closed = section_kernel(t, sec, lam, r, x, w)
                     general = mk.higher[r - 1][xi, wj]
                     assert abs(closed - general) <= 1e-9 * (1 + abs(closed) + abs(general))
+
+
+def _binary_tree(rng, depth):
+    children, measure, frontier = {}, {"o": 1.0}, ["o"]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            share = 0.5 + rng.random(2)
+            children[v] = [v + "0", v + "1"]
+            for c, m in zip(children[v], share / share.sum()):
+                measure[c] = measure[v] * float(m)
+            nxt += children[v]
+        frontier = nxt
+    return build_tree(children, measure=measure), frontier
+
+
+def test_depth8_closed_forms_match_general():
+    rng = np.random.default_rng(139)
+    t, sec = _binary_tree(rng, 8)
+    c = restrict_to_section(t, sec)
+    assert (len(c.interior_ids), len(c.boundary_ids)) == (255, 256)
+    lam = random_resolvent_point(rng, rho=0.3, margin=0.4, spread=1.2)
+
+    def assert_close(closed, general):
+        assert np.all(np.abs(closed - general) <= 1e-9 * (1 + np.abs(closed) + np.abs(general)))
+
+    inner, ws = c.interior_ids, c.boundary_ids
+    assert_close(np.array([[tree_green(t, sec, lam, x, y) for y in inner] for x in inner]),
+                 green(c, lam).g)
+    mk = martin_kernel(c, lam, t.root, n=2)
+    for r in (1, 2):
+        assert_close(np.array([[section_kernel(t, sec, lam, r, x, w) for w in ws]
+                               for x in inner]), mk.higher[r - 1])
 
 
 def test_hitting_from_origin_closed_form():
