@@ -98,14 +98,6 @@ class GreenMatrix:
             x = self._lu.solve(x)
         return x
 
-    def f_entry(self, x: str, w: str) -> complex:
-        """F(x, w | lam) extended to all of X (delta on the boundary)."""
-        xi = self.chain.vertex_index(x)
-        wj = self.chain.boundary_ids.index(w)
-        if xi in self.chain.boundary:
-            return 1.0 + 0j if self.chain.vertices[xi] == w else 0j
-        return complex(self.f[self.chain.interior.index(xi), wj])
-
 
 def green(chain: Chain, lam: complex) -> GreenMatrix:
     """Factor lam I - P_int, or raise :class:`LambdaInSpectrum` when

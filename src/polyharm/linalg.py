@@ -11,10 +11,9 @@ each panel; its solves are matrix products only, with the inverses of
 the diagonal panels' triangles that each LU forms once (an explicit
 triangular inverse is accurate to that block's condition: Du Croz &
 Higham, IMA J. Numer. Anal. 1992).  The complete-pivot elimination
-behind the nullspace runs on a stack of matrices at once, each with its
-own pivots, threshold and stopping step, so a caller with many rank
-questions of one size asks them in one batch.  Steps that decide nothing are LAPACK's:
-the Householder QR that orthonormalises a kernel basis.
+behind the nullspace takes one matrix at a time and stops at its own
+threshold.  Steps that decide nothing are LAPACK's: the Householder QR
+that orthonormalises a kernel basis.
 
 Eigenvalues carry no such meaning and come from LAPACK
 (``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
@@ -218,69 +217,39 @@ class EchelonInfo:
         return self.smallest_kept / self.largest_dropped
 
 
-def _echelon(stack: np.ndarray, tol: float) -> tuple[np.ndarray, list[EchelonInfo]]:
-    """Gaussian elimination with complete pivoting on every matrix of a
-    (B, r, c) stack at once, in place.
+def _echelon(m: np.ndarray, tol: float) -> tuple[np.ndarray, EchelonInfo]:
+    """Gaussian elimination with complete pivoting on one matrix, in place.
 
-    Each matrix keeps its own pivot search, its own threshold
-    ``tol * max|A_b|`` and its own stopping step: it leaves the stack when
-    its largest remaining entry is at or below its threshold, and the
-    others go on without it.  On return the first ``rank`` rows of each
-    matrix hold its U factor with columns in ``perms[b]`` order (the
-    entries below U are not cleared).  Returns ``perms`` (B, c) and one
-    :class:`EchelonInfo` per matrix.
+    Stops at the first pivot at or below ``tol * max|A|``.  On return the
+    first ``rank`` rows hold the U factor with columns in ``perm`` order
+    (the entries below U are not cleared).  Returns ``perm`` and the
+    :class:`EchelonInfo` of the rank decision.
     """
-    nb, nr, nc = stack.shape
-    steps = min(nr, nc)
-    thresh = tol * np.abs(stack).max(axis=(1, 2), initial=0.0)
-    perms = np.tile(np.arange(nc), (nb, 1))
-    piv = np.zeros((nb, steps))
-    dropped = np.zeros(nb)
-    rank = np.full(nb, steps)
-    # the matrices still eliminating, their stack positions and thresholds
-    work, ids, th, at = stack, np.arange(nb), thresh, np.arange(nb)
-    for k in range(steps):
-        sub = np.abs(work[:, k:, k:]).reshape(len(ids), (nr - k) * (nc - k))
-        flat = sub.argmax(axis=1)
-        mag = sub[at, flat]
-        stop = mag <= th
-        if stop.any():
-            done = ids[stop]
-            dropped[done] = mag[stop]
-            rank[done] = k
-            if work is not stack:
-                stack[done] = work[stop]
-            go = ~stop
-            work, ids, th, flat, mag = work[go], ids[go], th[go], flat[go], mag[go]
-            at = np.arange(len(ids))
-            if not ids.size:
-                break
-        piv[ids, k] = mag
-        i, j = np.divmod(flat, nc - k)
+    nr, nc = m.shape
+    thresh = tol * (float(np.abs(m).max()) if m.size else 0.0)
+    perm = np.arange(nc)
+    piv: list[float] = []
+    dropped = 0.0
+    for k in range(min(nr, nc)):
+        sub = np.abs(m[k:, k:])
+        i, j = divmod(int(sub.argmax()), nc - k)
+        mag = float(sub[i, j])
+        if mag <= thresh:
+            dropped = mag
+            break
+        piv.append(mag)
         i += k
         j += k
-        row = work[at, i]
-        work[at, i] = work[:, k]
-        work[:, k] = row
-        col = work[at, :, j]
-        work[at, :, j] = work[:, :, k]
-        work[:, :, k] = col
-        perms[ids, k], perms[ids, j] = perms[ids, j], perms[ids, k]
-        mult = work[:, k + 1:, k] / work[:, k, k, None]
-        work[:, k + 1:, k + 1:] -= mult[:, :, None] * work[:, k, None, k + 1:]
-    if work is not stack:
-        stack[ids] = work
-    infos = [
-        EchelonInfo(
-            rank=int(r),
-            pivots=piv[b, :r].copy(),
-            smallest_kept=float(piv[b, r - 1]) if r else 0.0,
-            largest_dropped=float(dropped[b]),
-            threshold=float(thresh[b]),
-        )
-        for b, r in enumerate(rank)
-    ]
-    return perms, infos
+        if i != k:
+            m[[k, i]] = m[[i, k]]
+        if j != k:
+            m[:, [k, j]] = m[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
+    info = EchelonInfo(rank=len(piv), pivots=np.array(piv),
+                       smallest_kept=piv[-1] if piv else 0.0,
+                       largest_dropped=dropped, threshold=thresh)
+    return perm, info
 
 
 def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
@@ -288,8 +257,7 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
     the rank decision.
 
     The rank decision is ours: Gaussian elimination with complete (row
-    and column) pivoting, the stack-of-one case of the batched
-    elimination, stopping at the first pivot at or below
+    and column) pivoting, stopping at the first pivot at or below
     ``tol * max|A|``.  Kernel vectors come from one back-substitution
     that carries every free column at once; LAPACK's Householder QR then
     orthonormalises them, with each column's phase set so the basis is
@@ -300,7 +268,7 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
         raise ValueError("tol must be positive")
     m = as_matrix(a)
     nc = m.shape[1]
-    perms, (info,) = _echelon(m[None], tol)
+    perm, info = _echelon(m, tol)
     rank = info.rank
     if rank == nc:
         return [], info
@@ -310,7 +278,7 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
     for k in range(rank - 1, -1, -1):  # U[:, :rank] Y = -U[:, rank:]
         y[k] = -(u[k, rank:] + u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]
     v = np.empty_like(y)
-    v[perms[0]] = y
+    v[perm] = y
     q, r = np.linalg.qr(v)
     d = np.diagonal(r)
     q *= d / np.abs(d)
@@ -328,11 +296,19 @@ def nullspace(a, tol: float) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Clustered eigenvalues with algebraic multiplicities."""
+    """Clustered eigenvalues with algebraic multiplicities.
+
+    ``radius`` is the working cluster radius: computed eigenvalues within
+    it of a cluster were merged into it, so a cluster stands for every
+    eigenvalue that close to its centre.  It is ``cluster_tol``, floored
+    at 32 sqrt(eps) (1 + max|z|) when there are eigenvalues (see
+    :func:`eigenvalues`).
+    """
 
     eigenvalues: tuple[complex, ...]
     alg_mult: tuple[int, ...]
     cluster_tol: float
+    radius: float
 
     @property
     def rho(self) -> float:
@@ -401,7 +377,7 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds supported {MAX_EIG_DIM}")
     if n == 0:
-        return Spectrum((), (), cluster_tol)
+        return Spectrum((), (), cluster_tol, cluster_tol)
 
     # a real matrix stays real, so its real eigenvalues come out exactly real
     work = m.real if not m.imag.any() else m
@@ -420,6 +396,6 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
         )
 
     scale_r = 1.0 + float(np.abs(roots).max())
-    tol_eff = max(cluster_tol, 32.0 * np.sqrt(_EPS) * scale_r)
-    centers, mults = _cluster(roots, tol_eff)
-    return Spectrum(tuple(centers), tuple(mults), cluster_tol)
+    radius = max(cluster_tol, 32.0 * np.sqrt(_EPS) * scale_r)
+    centers, mults = _cluster(roots, radius)
+    return Spectrum(tuple(centers), tuple(mults), cluster_tol, radius)

@@ -265,12 +265,21 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
                            cluster_tol: float = CLUSTER_TOL) -> NetworkSpectrumReport:
     """Verify the reversible-chain spectral facts for a network.
 
-    The similarity by diag(sqrt(m(x))) symmetrises the interior block, so
-    the spectrum must be real and every eigenvalue must have equal
-    geometric and algebraic multiplicity.  Numeric violations raise
-    :class:`ReportedViolation`.  The interior block is similar to a
-    symmetric matrix, so its eigenvalues are semisimple and repeated ones
-    do not split: the default ``cluster_tol`` resolves them.
+    The similarity by D = diag(sqrt(m(x))) symmetrises the interior
+    block, so the spectrum must be real and every eigenvalue must have
+    equal geometric and algebraic multiplicity.  The certificate is one
+    symmetric eigendecomposition (LAPACK ``eigh``) of S = D P_int D^-1:
+    each column x = D^-1 v is an eigenvector of P_int.  Each symmetric
+    eigenvalue must lie within the working cluster radius of a centre of
+    the LAPACK spectrum, and each x must have relative residual
+    |P_int x - w x| / |x| at most ``tol``; for a symmetric matrix the
+    residual of a unit vector bounds its distance to an eigenvalue
+    (Parlett, *The Symmetric Eigenvalue Problem*, 1980).  A cluster's
+    geometric multiplicity is then the rank of its own eigenvectors, by
+    our complete-pivot elimination at ``tol``, and must equal its
+    algebraic multiplicity.  Numeric violations raise
+    :class:`ReportedViolation`.  Repeated eigenvalues of a symmetric
+    matrix do not split: the default ``cluster_tol`` resolves them.
     """
     if not isinstance(network, Network):
         raise TypeError("network_spectrum_check needs a Network, "
@@ -289,13 +298,24 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     max_imag = max((abs(z.imag) for z in spec.eigenvalues), default=0.0)
     if max_imag > 1e-8:
         raise ReportedViolation(f"eigenvalue imaginary part {max_imag:.3e} > 1e-8")
-    # every z I - P_int in one real stack, one batched rank elimination
-    n, diag = p_int.shape[0], np.arange(p_int.shape[0])
-    stack = np.empty((len(spec.eigenvalues), n, n))
-    stack[:] = -p_int
-    stack[:, diag, diag] += np.array(spec.eigenvalues).real[:, None]
-    _, infos = _echelon(stack, tol)
-    geo = [n - info.rank for info in infos]
+    w, v = np.linalg.eigh(sym)
+    x = v / d[:, None]
+    centres = np.array(spec.eigenvalues).real
+    gaps = np.abs(w[:, None] - centres)
+    owner = gaps.argmin(axis=1)
+    far = np.flatnonzero(gaps.min(axis=1) > spec.radius)
+    if far.size:
+        raise ReportedViolation(
+            f"symmetric eigenvalue {w[far[0]]:.3e} lies farther than the cluster "
+            f"radius {spec.radius:.3e} from every cluster"
+        )
+    resid = np.abs(p_int @ x - x * w).max(axis=0) / np.abs(x).max(axis=0)
+    bad = int(resid.argmax())
+    if resid[bad] > tol:
+        raise ReportedViolation(
+            f"eigenvector of {w[bad]:.3e} has relative residual {resid[bad]:.3e} > {tol:.3e}"
+        )
+    geo = [_echelon(x[:, owner == c], tol)[1].rank for c in range(len(centres))]
     for z, g, mult in zip(spec.eigenvalues, geo, spec.alg_mult):
         if g != mult:
             raise ReportedViolation(
@@ -309,4 +329,3 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         geo_mults=tuple(geo),
         alg_mults=spec.alg_mult,
     )
-

@@ -61,10 +61,10 @@ class ForwardTree:
     vertex's preorder interval ``[tin, tout)``: the preorder numbers of
     its subtree, so ancestry is one comparison.  The tree is not changed
     after :func:`build_tree`, so the sections it has accepted are
-    remembered and not walked again.  The last section accepted as a
-    ``list`` is also kept with a copy of its ids: a call that passes that
-    same list object, with contents still equal to the copy, skips the
-    lookup by ids.
+    remembered by their set of ids and not walked again.  The last
+    section accepted as a ``list`` is also kept with a copy of its ids: a
+    call that passes that same list object, with contents still equal to
+    the copy, skips the lookup by ids.
     """
 
     root: str
@@ -76,8 +76,8 @@ class ForwardTree:
     forward_p: dict[str, float] = field(repr=False)  # p(parent(x), x), x != root
     max_depth: int = 0
     _interval: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
-    # accepted sections, keyed by the caller's sequence of ids
-    _sections: dict[tuple, "_Section"] = field(default_factory=dict, init=False, repr=False)
+    # accepted sections, keyed by their set of ids
+    _sections: dict[frozenset, "_Section"] = field(default_factory=dict, init=False, repr=False)
     # (list, copy of its ids, record) of the last section accepted as a list
     _last: tuple | None = field(default=None, init=False, repr=False)
 
@@ -265,16 +265,16 @@ def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
     last = tree._last
     if last is not None and section is last[0] and section == last[1]:
         return last[2]
-    key = tuple(section)
+    key = frozenset(section)
     rec = tree._sections.get(key)
     if rec is None:  # a rejected section raises here on every call
         rec = tree._sections[key] = _walk_section(tree, key)
     if type(section) is list:
-        tree._last = (section, list(key), rec)
+        tree._last = (section, list(section), rec)
     return rec
 
 
-def _walk_section(tree: ForwardTree, key: tuple) -> _Section:
+def _walk_section(tree: ForwardTree, key: frozenset) -> _Section:
     """Validate a section in one breadth-first pass over the tree and
     record its restriction."""
     sec = frozenset(str(s) for s in key)

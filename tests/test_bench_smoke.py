@@ -50,6 +50,37 @@ def test_bench_spectral_answers(seed, tmp_path, monkeypatch):
         assert op.check(op.run()) == [], op.name
 
 
+def test_bench_spectral_network_checks_rank_each_eigenvector_once(tmp_path, monkeypatch):
+    """In one ``spectral`` round, the eliminations of each network check
+    together see one column per eigenvector: n columns at interior n,
+    each elimination on one matrix."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    spectral = polyharm.spectral
+    echelon, check = spectral._echelon, spectral.network_spectrum_check
+    columns, seen = [0], []
+
+    def counting_echelon(m, tol):
+        assert m.ndim == 2
+        columns[0] += m.shape[1]
+        return echelon(m, tol)
+
+    def counting_check(*args, **kwargs):
+        columns[0] = 0
+        rep = check(*args, **kwargs)
+        seen.append((columns[0], len(rep.chain.interior_ids)))
+        return rep
+
+    monkeypatch.setattr(spectral, "_echelon", counting_echelon)
+    monkeypatch.setattr(polyharm, "network_spectrum_check", counting_check)
+    for op in workloads.spectral(polyharm, 7, tmp_path).round:
+        assert op.check(op.run()) == [], op.name
+    assert len(seen) == 4
+    assert all(cols == n for cols, n in seen), seen
+
+
 def _per_riquier_round(tmp_path, monkeypatch, calls):
     """Two ``riquier`` rounds on one workload, every answer passing the
     benchmark's check: the count in ``calls[0]`` over each."""

@@ -400,26 +400,23 @@ def _same_info(got, want, exact):
 @pytest.mark.parametrize("nr,nc", [(1, 1), (1, 5), (5, 1), (7, 7), (12, 9),
                                    (9, 12), (31, 31), (60, 60), (45, 60)])
 def test_batched_echelon_matches_reference(nr, nc, cplx):
-    """One stack, each matrix stopping at its own rank: the same ranks and
-    thresholds as the loop one matrix at a time, the same pivots bit for
-    bit on complex input."""
+    """A batch of six matrices of one shape, each eliminated alone: the
+    same ranks and thresholds as the reference loop, the same pivots bit
+    for bit on complex input, and a U factor in place whose diagonal is
+    those pivots."""
     rng = np.random.default_rng(1000 * nr + nc + cplx)
     tol = 1e-10
-    stack = _mixed_rank_stack(rng, 6, nr, nc, cplx)
-    want = [reference_nullspace_info(a, tol)[1] for a in stack]
-    out = stack.copy()
-    perms, infos = _echelon(out, tol)
-    assert perms.shape == (len(stack), nc) and len(infos) == len(stack)
-    for got, ref in zip(infos, want):
-        _same_info(got, ref, exact=cplx)
-    assert [i.rank for i in infos][:2] == [0, min(nr, nc)]
-    # each matrix leaves the stack with the U factor and column order it
-    # gets when eliminated alone, whenever the others stop
-    for a, u, perm, info in zip(stack, out, perms, infos):
-        alone = a[None].copy()
-        perm_alone, _ = _echelon(alone, tol)
-        assert np.array_equal(perm, perm_alone[0])
-        assert np.array_equal(np.triu(u[:info.rank]), np.triu(alone[0, :info.rank]))
+    batch = _mixed_rank_stack(rng, 6, nr, nc, cplx)
+    ranks = []
+    for a in batch:
+        want = reference_nullspace_info(a, tol)[1]
+        out = a.copy()
+        perm, got = _echelon(out, tol)
+        _same_info(got, want, exact=cplx)
+        assert np.array_equal(np.sort(perm), np.arange(nc))
+        assert np.array_equal(np.abs(np.diagonal(out[:got.rank, :got.rank])), got.pivots)
+        ranks.append(got.rank)
+    assert ranks[:2] == [0, min(nr, nc)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 27, 40, 60])
@@ -443,13 +440,15 @@ def test_nullspace_matches_reference(n):
 
 
 def test_echelon_counts(monkeypatch):
-    """nullspace_info is one elimination; network_spectrum_check one
-    batched elimination for all its eigenvalues, and no nullspace_info."""
-    calls = {"echelon": 0, "nullspace": 0}
+    """nullspace_info is one elimination.  network_spectrum_check is one
+    elimination per cluster, each on a matrix of that cluster's own
+    eigenvectors, as many columns as its algebraic multiplicity, and no
+    nullspace_info."""
+    shapes, calls = [], {"nullspace": 0}
 
-    def counting_echelon(stack, tol):
-        calls["echelon"] += 1
-        return _echelon(stack, tol)
+    def counting_echelon(m, tol):
+        shapes.append(m.shape)
+        return _echelon(m, tol)
 
     def counting_nullspace(a, tol):
         calls["nullspace"] += 1
@@ -459,12 +458,15 @@ def test_echelon_counts(monkeypatch):
     monkeypatch.setattr(spectral, "_echelon", counting_echelon)
     monkeypatch.setattr(spectral, "nullspace_info", counting_nullspace)
     linalg.nullspace_info(np.ones((4, 4)), 1e-10)
-    assert calls == {"echelon": 1, "nullspace": 0}
-    calls["echelon"] = 0
-    edges = [(f"p{i}", f"p{i + 1}", 1.0 + i) for i in range(9)]
-    rep = spectral.network_spectrum_check(build_network(edges, ["p0", "p9"]))
-    assert len(rep.geo_mults) == 8
-    assert calls == {"echelon": 1, "nullspace": 0}
+    assert shapes == [(4, 4)]
+    edges = [("c", "w", 1.0)]
+    for k in range(4):  # four identical pendants: an eigenvalue of multiplicity 3
+        edges += [("c", f"m{k}", 1.0), (f"m{k}", f"l{k}", 1.0)]
+    shapes.clear()
+    rep = spectral.network_spectrum_check(build_network(edges, ["w"]))
+    assert 3 in rep.alg_mults
+    assert shapes == [(9, mult) for mult in rep.alg_mults]
+    assert calls["nullspace"] == 0
 
 
 # ----------------------------------------------------------- eigenvalues

@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from polyharm import spectral
 from polyharm import (
     build_chain,
     build_network,
@@ -13,7 +17,7 @@ from polyharm import (
     nullspace,
     restrict_to_section,
 )
-from polyharm.errors import NotAnEigenvalue
+from polyharm.errors import NotAnEigenvalue, ReportedViolation
 
 from conftest import random_chain, span_projector
 
@@ -395,3 +399,115 @@ def test_network_geometric_multiplicities_at_size(net):
     counts = [int(np.sum(np.abs(want - z.real) <= 1e-6)) for z in rep.spectrum.eigenvalues]
     assert list(rep.geo_mults) == counts
     assert sum(counts) == want.size
+
+
+def _alternating_path(n, small):
+    """Path p0 .. p(n-1) with boundary {p0, p(n-1)} and conductances
+    alternating 1 and ``small``: a pair of interior eigenvalues +-z with
+    |z| (1e-8 here) inside the working cluster radius."""
+    edges = [(f"p{i}", f"p{i + 1}", 1.0 if i % 2 == 0 else small) for i in range(n - 1)]
+    return build_network(edges, ["p0", f"p{n - 1}"])
+
+
+@pytest.mark.parametrize("net", [_alternating_path(10, 0.01), _alternating_path(12, 0.03)],
+                         ids=["path10-0.01", "path12-0.03"])
+def test_network_check_accepts_a_merged_pair(net):
+    """Two distinct eigenvalues merged into one cluster of multiplicity 2
+    are two independent eigenvectors, not a defective eigenvalue."""
+    rep = network_spectrum_check(net)
+    assert rep.geo_mults == rep.alg_mults
+    assert 2 in rep.alg_mults
+
+
+def test_network_multiplicities_on_the_unit_grid_20():
+    """Interior 324 with multiplicities up to 18: each geometric
+    multiplicity is the number of numpy eigenvalues at that point, within
+    a 32 MB tracemalloc peak."""
+    net = _grid_network(20)
+    tracemalloc.start()
+    try:
+        rep = network_spectrum_check(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    want = np.linalg.eigvals(rep.chain.p_int).real
+    assert want.size == 324
+    counts = [int(np.sum(np.abs(want - z.real) <= 1e-6)) for z in rep.spectrum.eigenvalues]
+    assert list(rep.geo_mults) == counts
+    assert sum(counts) == want.size and max(counts) >= 10
+
+
+def test_random_networks_are_not_refused():
+    """Random connected networks, interior up to 58, conductances
+    10^U(-2, 2): the check returns with equal multiplicities."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(n=st.integers(5, 59), two_sided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def check(n, two_sided, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"v{k}" for k in range(n)]
+        pairs = [(i, i + 1) for i in range(n - 1)] + [
+            (int(i), int(j)) for i, j in rng.integers(0, n, (n // 2, 2)) if i != j]
+        edges = [(names[i], names[j], float(10 ** rng.uniform(-2, 2))) for i, j in pairs]
+        rep = network_spectrum_check(
+            build_network(edges, [names[0], names[-1]] if two_sided else [names[0]]))
+        assert rep.geo_mults == rep.alg_mults
+
+    check()
+
+
+# ------------------------------------- every refusal of the network check
+
+def _weighted_path():
+    return build_network([(f"p{i}", f"p{i + 1}", 1.0 + i) for i in range(9)], ["p0", "p9"])
+
+
+def _patch_spectrum(monkeypatch, edit):
+    """Make the check see ``edit`` applied to the LAPACK spectrum."""
+    real = spectral.eigenvalues
+    monkeypatch.setattr(spectral, "eigenvalues", lambda *a, **k: edit(real(*a, **k)))
+
+
+def test_network_check_refuses_an_asymmetric_block(monkeypatch):
+    real = spectral.conductances
+
+    def skewed(network):
+        cond, m = real(network)
+        return cond, {**m, "p4": m["p4"] * (1 + 1e-6)}
+
+    monkeypatch.setattr(spectral, "conductances", skewed)
+    with pytest.raises(ReportedViolation, match="deviates from symmetry"):
+        network_spectrum_check(_weighted_path())
+
+
+def test_network_check_refuses_a_complex_eigenvalue(monkeypatch):
+    _patch_spectrum(monkeypatch, lambda spec: replace(
+        spec, eigenvalues=(spec.eigenvalues[0] + 1e-6j,) + spec.eigenvalues[1:]))
+    with pytest.raises(ReportedViolation, match="imaginary part"):
+        network_spectrum_check(_weighted_path())
+
+
+def test_network_check_refuses_an_eigenvalue_outside_every_cluster(monkeypatch):
+    def merge_first_two(spec):
+        (a, b, *zs), (ma, mb, *ms) = spec.eigenvalues, spec.alg_mult
+        return replace(spec, eigenvalues=((a * ma + b * mb) / (ma + mb), *zs),
+                       alg_mult=(ma + mb, *ms))
+
+    _patch_spectrum(monkeypatch, merge_first_two)
+    with pytest.raises(ReportedViolation, match="from every cluster"):
+        network_spectrum_check(_weighted_path())
+
+
+def test_network_check_refuses_an_inexact_eigenvector():
+    with pytest.raises(ReportedViolation, match="relative residual"):
+        network_spectrum_check(_weighted_path(), tol=1e-20)
+
+
+def test_network_check_refuses_unequal_multiplicities(monkeypatch):
+    _patch_spectrum(monkeypatch, lambda spec: replace(
+        spec, alg_mult=(spec.alg_mult[0] + 1,) + spec.alg_mult[1:]))
+    with pytest.raises(ReportedViolation, match="geometric multiplicity 1 != algebraic 2"):
+        network_spectrum_check(_weighted_path())

@@ -327,6 +327,16 @@ def test_depth8_closed_forms_match_general():
                                for x in inner]), mk.higher[r - 1])
 
 
+def test_section_orderings_share_one_record():
+    """The record of a section does not depend on the order of its ids:
+    50 shuffled orderings of the depth-8 section keep one record."""
+    rng = np.random.default_rng(141)
+    t, sec = _binary_tree(rng, 8)
+    recs = {id(treemod._check_section(t, [sec[i] for i in rng.permutation(len(sec))]))
+            for _ in range(50)}
+    assert len(recs) == 1 and len(t._sections) == 1
+
+
 def test_hitting_from_origin_closed_form():
     rng = np.random.default_rng(109)
     for _ in range(15):
