@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bvp import _delta_power
 from .chain import Chain, Network, conductances, from_network
 from .errors import (
     IllConditioned,
@@ -96,11 +97,16 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     """Jordan chain structure at an eigenvalue of the interior block.
 
     ``lam`` must be within ``cluster_tol`` of a computed eigenvalue (it
-    is snapped to the computed value).  Nested kernels of powers of
-    (lam I - P_int) are computed by rank-revealing elimination; chain
-    tops are kernel basis vectors of the deepest level orthogonalised
-    against the previous level, which makes the output deterministic
-    given the pivot order.
+    is snapped to the computed value).  Nested kernels N_k of powers of
+    B = lam I - P_int are computed by rank-revealing elimination.  From
+    the deepest level down, the chains found so far are carried one
+    level by B; the unit basis vectors of N_k, projected off N_{k-1} and
+    off the carried members, are the candidates, and the new chain tops
+    are the columns our complete-pivot elimination picks from them,
+    keeping pivots above ``tol`` itself (not relative to the largest
+    entry: the candidates are unit vectors, and at a level that wants no
+    new top they are pure rounding).  The output is deterministic given
+    the pivot order, longest chains first.
 
     A defective eigenvalue in a Jordan block of size m splits by roughly
     eps**(1/m) in floating point, so recognising one of multiplicity 3
@@ -134,7 +140,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     # nested kernels N_k = ker(B^k) until the dimension reaches the
     # algebraic multiplicity; rank thresholds stay relative to |B|^k,
     # not |B^k| (powers of near-nilpotent blocks have tiny norms)
-    levels: list[list[np.ndarray]] = []
+    levels = [np.zeros((m, 0), dtype=complex)]
     bk = np.eye(m, dtype=complex)
     dims = [0]
     scale_b = max(float(np.abs(b).max()), 1e-300)
@@ -148,7 +154,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
                 f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
                 f"vs discarded {info.largest_dropped:.3e}"
             )
-        levels.append(basis)
+        levels.append(np.array(basis, dtype=complex).reshape(-1, m).T)
         dims.append(len(basis))
         if len(basis) >= kappa:
             break
@@ -156,59 +162,43 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
         raise IllConditioned(
             f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
         )
-    depth = len(levels)
+    depth = len(levels) - 1
 
-    def project_out(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # classical Gram-Schmidt against the orthonormal columns of q, twice
-        for _ in range(2):
-            v = v - q @ (q.conj().T @ v)
-        return v
-
-    # pick chain tops level by level, longest chains first
-    chains_int: list[list[np.ndarray]] = []
-    carried: list[list[np.ndarray]] = [[] for _ in range(depth + 1)]
+    # chain tops level by level, deepest first; column j of ``vecs`` is
+    # chain j's member at the current level
+    vecs = np.zeros((m, 0), dtype=complex)
+    members = []
     for k in range(depth, 0, -1):
-        blockers = np.array(levels[k - 2] if k >= 2 else [], dtype=complex).reshape(-1, m).T
-        for u in carried[k]:
-            w = project_out(u, blockers)
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-12:
-                blockers = np.column_stack([blockers, w / nrm])
-        want = (dims[k] - dims[k - 1]) - len(carried[k])
-        picked = 0
-        for cand in levels[k - 1]:
-            if picked == want:
-                break
-            w = project_out(cand, blockers)
-            nrm = np.linalg.norm(w)
-            if nrm <= 1e-8:
-                continue
-            top = w / nrm
-            blockers = np.column_stack([blockers, top])
-            picked += 1
-            vecs = [top]
-            for _ in range(k - 1):
-                vecs.append(b @ vecs[-1])
-            vecs.reverse()  # eigenvector first
-            chains_int.append(vecs)
-            for lvl in range(1, k):
-                carried[lvl].append(vecs[lvl - 1])
-        if picked != want:
+        vecs = b @ vecs
+        below, carried = levels[k - 1], vecs.shape[1]
+        w = np.hstack([vecs, levels[k]])
+        for _ in range(2):
+            w -= below @ (below.conj().T @ w)
+        q = np.linalg.qr(w[:, :carried])[0]
+        cand = w[:, carried:]
+        for _ in range(2):
+            cand -= q @ (q.conj().T @ cand)
+        want = dims[k] - dims[k - 1] - carried
+        scale = float(np.abs(cand).max(initial=0.0))
+        perm, info = _echelon(cand.copy(), tol / scale if scale > 0 else tol)
+        if want < 0 or info.rank != want or info.gap < GAP_FACTOR:
             raise IllConditioned(
-                f"could not separate {want} chain tops at level {k} (got {picked})"
+                f"could not separate {want} chain tops at level {k}: rank {info.rank}, "
+                f"retained pivot {info.smallest_kept:.3e} vs discarded "
+                f"{info.largest_dropped:.3e}"
             )
+        tops = cand[:, perm[:want]]
+        vecs = np.hstack([vecs, tops / np.linalg.norm(tops, axis=0)])
+        members.append(vecs)
 
-    chains_int.sort(key=len, reverse=True)
+    members.reverse()  # eigenvectors first
     chains_full = []
-    for c in chains_int:
+    for j in range(dims[1]):
+        c = [v[:, j] for v in members if v.shape[1] > j]
         alpha = _chain_scale(c[0])
         chains_full.append(tuple(chain.embed(alpha * v) for v in c))
     chains_full = tuple(chains_full)
     lengths = tuple(len(c) for c in chains_full)
-    if sum(lengths) != kappa:
-        raise IllConditioned(
-            f"chain lengths {lengths} sum to {sum(lengths)}, expected {kappa}"
-        )
     return JordanBasis(
         chain=chain,
         lam=complex(lam0),
@@ -227,22 +217,23 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
     min(n, chain length), extended by zero on the boundary.
 
     Each returned vector is verified to be annihilated by the n-th power
-    of the full-matrix operator within 1e-8 relative.
+    of the operator within 1e-8 relative.  The vectors vanish on the
+    absorbing boundary, so only the interior rows can be nonzero: one
+    application of Delta_lam^n to their stacked interior rows checks
+    them all.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     jb = jordan_basis(chain, lam, tol, cluster_tol=cluster_tol)
     basis = jb.vectors(max_order=n)
-    op = jb.lam * np.eye(chain.n, dtype=complex) - chain.trans
-    for v in basis:
-        w = v.copy()
-        for _ in range(n):
-            w = op @ w
-        lim = 1e-8 * float(np.abs(v).max())
-        if float(np.abs(w).max()) > lim:
+    v = np.array(basis).T
+    res = np.abs(_delta_power(chain.p_int, chain.q, jb.lam, v[list(chain.interior)],
+                              v[list(chain.boundary)], n)).max(axis=0)
+    lim = 1e-8 * np.abs(v).max(axis=0)
+    for r, bound in zip(res, lim):
+        if r > bound:
             raise IllConditioned(
-                f"basis vector fails (lam I - P)^{n} annihilation: "
-                f"{float(np.abs(w).max()):.3e} > {lim:.3e}"
+                f"basis vector fails (lam I - P)^{n} annihilation: {r:.3e} > {bound:.3e}"
             )
     return basis
 

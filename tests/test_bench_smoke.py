@@ -81,6 +81,38 @@ def test_bench_spectral_network_checks_rank_each_eigenvector_once(tmp_path, monk
     assert all(cols == n for cols, n in seen), seen
 
 
+def test_bench_spectral_jordan_bases_eliminate_twice_per_level(tmp_path, monkeypatch):
+    """In one ``spectral`` round, each Jordan basis makes two eliminations
+    per level of its nested kernels: one for the kernel of B^k and one
+    for that level's chain tops."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    spectral, linalg = polyharm.spectral, polyharm.linalg
+    echelon, jordan = linalg._echelon, spectral.jordan_basis
+    calls, seen = [0], []
+
+    def counting_echelon(m, tol):
+        calls[0] += 1
+        return echelon(m, tol)
+
+    def counting_jordan(*args, **kwargs):
+        calls[0] = 0
+        jb = jordan(*args, **kwargs)
+        seen.append((calls[0], jb.chain_lengths[0]))
+        return jb
+
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "jordan_basis", counting_jordan)
+    monkeypatch.setattr(polyharm, "jordan_basis", counting_jordan)
+    for op in workloads.spectral(polyharm, 7, tmp_path).round:
+        assert op.check(op.run()) == [], op.name
+    assert len(seen) == 9
+    assert all(n == 2 * levels for n, levels in seen), seen
+
+
 def _per_riquier_round(tmp_path, monkeypatch, calls):
     """Two ``riquier`` rounds on one workload, every answer passing the
     benchmark's check: the count in ``calls[0]`` over each."""

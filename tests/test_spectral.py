@@ -17,9 +17,9 @@ from polyharm import (
     nullspace,
     restrict_to_section,
 )
-from polyharm.errors import NotAnEigenvalue, ReportedViolation
+from polyharm.errors import IllConditioned, NotAnEigenvalue, ReportedViolation
 
-from conftest import random_chain, span_projector
+from conftest import random_chain, random_section, random_tree, span_projector
 
 
 def test_interior_spectrum_p4(p4):
@@ -373,6 +373,68 @@ def test_tree_section_kernel_dimensions(depth):
         assert sum(min(j, n) for n in jb.chain_lengths) == want
 
 
+def _height_oracle(c):
+    """Chain lengths at lam = 0 on a section restriction, from the support
+    of P_int alone.  Row x of P_int^k is nonzero exactly when x has an
+    interior descendant at distance k, and these rows have disjoint
+    supports, so rank P_int^k = #{x : h(x) >= k} for the height h(x) of
+    x inside the interior, and #{x : h(x) = k - 1} Jordan blocks have
+    size >= k: the lengths are the conjugate partition of the height
+    counts."""
+    kids = [np.flatnonzero(row) for row in c.p_int > 0]
+    height = {}
+
+    def h(x):
+        if x not in height:
+            height[x] = max((h(y) + 1 for y in kids[x]), default=0)
+        return height[x]
+
+    counts = np.bincount([h(x) for x in range(len(kids))])
+    return tuple(int(np.sum(counts > j)) for j in range(counts[0]))
+
+
+def test_chain_lengths_match_the_height_oracle_on_random_sections():
+    """Random sections of random trees (depth <= 7, branching <= 3); some
+    of them have a level that wants no new chain top (a chain length
+    missing below the longest)."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    skipped_levels = []
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, max_depth=7, max_branch=3)
+        c = restrict_to_section(tree, random_section(rng, tree))
+        want = _height_oracle(c)
+        assert jordan_basis(c, 0.0).chain_lengths == want
+        skipped_levels.append(len(set(range(1, want[0] + 1)) - set(want)))
+
+    check()
+    assert max(skipped_levels) > 0
+
+
+def test_binary_section_of_depth_8():
+    """Interior 255 at lam = 0: the chain lengths are the height oracle's,
+    each chain satisfies the Jordan relation within 1e-12 of its largest
+    entry, and the 255 vectors, each scaled to unit norm, have rank 255
+    at the 1e-8 threshold of the global-basis test."""
+    c = _binary_section(8, np.random.default_rng(8))
+    jb = jordan_basis(c, 0.0)
+    assert jb.chain_lengths == _height_oracle(c)
+    b = -c.p_int
+    ii = list(c.interior)
+    for ch in jb.chains:
+        scale = max(np.abs(v).max() for v in ch)
+        prev = np.zeros(len(ii))
+        for v in ch:
+            assert np.abs(b @ v[ii] - prev).max() <= 1e-12 * scale
+            prev = v[ii]
+    vs = np.column_stack(jb.vectors())
+    assert np.linalg.matrix_rank(vs / np.linalg.norm(vs, axis=0), tol=1e-8) == 255
+
+
 def _grid_network(m, rng=None):
     net = _cornerless_grid_network(m)
     if rng is None:
@@ -511,3 +573,71 @@ def test_network_check_refuses_unequal_multiplicities(monkeypatch):
         spec, alg_mult=(spec.alg_mult[0] + 1,) + spec.alg_mult[1:]))
     with pytest.raises(ReportedViolation, match="geometric multiplicity 1 != algebraic 2"):
         network_spectrum_check(_weighted_path())
+
+
+# ------------------------- every refusal of jordan_basis and the global basis
+
+def test_jordan_refuses_an_ambiguous_kernel_rank(monkeypatch, forward_path):
+    real = spectral.nullspace_info
+
+    def narrow_gap(a, tol):
+        basis, info = real(a, tol)
+        return basis, replace(info, largest_dropped=info.smallest_kept / 2)
+
+    monkeypatch.setattr(spectral, "nullspace_info", narrow_gap)
+    with pytest.raises(IllConditioned, match=r"rank of B\^1 ambiguous"):
+        jordan_basis(forward_path, 0.0)
+
+
+def test_jordan_refuses_kernels_short_of_the_multiplicity(monkeypatch, forward_path):
+    _patch_spectrum(monkeypatch, lambda spec: replace(
+        spec, alg_mult=(spec.alg_mult[0] + 1,) + spec.alg_mult[1:]))
+    with pytest.raises(IllConditioned, match=r"kernel dimensions \[1, 2\] never reach "
+                                             r"algebraic multiplicity 3"):
+        jordan_basis(forward_path, 0.0)
+
+
+def test_jordan_refuses_fewer_tops_than_wanted(monkeypatch, forward_path):
+    real = spectral._echelon
+
+    def short_rank(m, tol):
+        perm, info = real(m, tol)
+        return perm, replace(info, rank=info.rank - 1)
+
+    monkeypatch.setattr(spectral, "_echelon", short_rank)
+    with pytest.raises(IllConditioned, match="could not separate 1 chain tops at level 2: rank 0"):
+        jordan_basis(forward_path, 0.0)
+
+
+def test_jordan_refuses_an_ambiguous_choice_of_tops(monkeypatch, forward_path):
+    real = spectral._echelon
+
+    def narrow_gap(m, tol):
+        perm, info = real(m, tol)
+        return perm, replace(info, largest_dropped=info.smallest_kept / 2)
+
+    monkeypatch.setattr(spectral, "_echelon", narrow_gap)
+    with pytest.raises(IllConditioned, match="could not separate 1 chain tops at level 2: rank 1"):
+        jordan_basis(forward_path, 0.0)
+
+
+def test_jordan_refuses_more_chains_than_new_kernel_vectors(monkeypatch, forward_path):
+    """A first kernel found empty leaves the two chains of N_2 nowhere to
+    go at level 1: a negative number of tops is wanted."""
+    real = spectral.nullspace_info
+
+    def lose_the_eigenvector(a, tol):
+        basis, info = real(a, tol)
+        return (basis if len(basis) == 2 else []), info
+
+    monkeypatch.setattr(spectral, "nullspace_info", lose_the_eigenvector)
+    with pytest.raises(IllConditioned, match="could not separate -2 chain tops at level 1"):
+        jordan_basis(forward_path, 0.0)
+
+
+def test_global_basis_refuses_a_vector_not_annihilated(monkeypatch, forward_path):
+    real = spectral._delta_power
+    monkeypatch.setattr(spectral, "_delta_power", lambda p, q, lam, f_int, f_bnd, n: (
+        real(p, q, lam, f_int, f_bnd, n) + 1e-6 * np.abs(f_int).max(axis=0)))
+    with pytest.raises(IllConditioned, match=r"fails \(lam I - P\)\^2 annihilation"):
+        global_polyharmonic_basis(forward_path, 0.0, 2)
