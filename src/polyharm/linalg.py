@@ -13,7 +13,8 @@ triangular inverse is accurate to that block's condition: Du Croz &
 Higham, IMA J. Numer. Anal. 1992).  The complete-pivot elimination
 behind the nullspace takes one matrix at a time and stops at its own
 threshold.  Steps that decide nothing are LAPACK's: the Householder QR
-that orthonormalises a kernel basis.
+that orthonormalises a kernel basis.  The nullspace alone keeps real
+input real: float64 elimination and a float64 kernel basis.
 
 Eigenvalues carry no such meaning and come from LAPACK
 (``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
@@ -43,10 +44,13 @@ EIG_RTOL = 1e3 * _EPS
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array (copy)."""
-    m = np.array(a, dtype=complex)
+    return _finite_matrix(np.array(a, dtype=complex))
+
+
+def _finite_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -241,10 +245,12 @@ def _echelon(m: np.ndarray, tol: float) -> tuple[np.ndarray, EchelonInfo]:
         i += k
         j += k
         if i != k:
-            m[[k, i]] = m[[i, k]]
+            row = m[k].copy()
+            m[k], m[i] = m[i], row
         if j != k:
-            m[:, [k, j]] = m[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
+            col = m[:, k].copy()
+            m[:, k], m[:, j] = m[:, j], col
+            perm[k], perm[j] = perm[j], perm[k]
         m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k] / m[k, k], m[k, k + 1:])
     info = EchelonInfo(rank=len(piv), pivots=np.array(piv),
                        smallest_kept=piv[-1] if piv else 0.0,
@@ -263,17 +269,20 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
     orthonormalises them, with each column's phase set so the basis is
     the Gram-Schmidt basis of the same vectors.  The QR makes no rank
     decision: the vectors are independent by construction.
+
+    Real input (no complex dtype) is eliminated in float64 and its basis
+    vectors are float64; complex input stays complex128 throughout.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    m = as_matrix(a)
+    m = _finite_matrix(np.array(a, dtype=complex if np.iscomplexobj(a) else float))
     nc = m.shape[1]
     perm, info = _echelon(m, tol)
     rank = info.rank
     if rank == nc:
         return [], info
     u = m[:rank]
-    y = np.zeros((nc, nc - rank), dtype=complex)
+    y = np.zeros((nc, nc - rank), dtype=m.dtype)
     y[rank:] = np.eye(nc - rank)
     for k in range(rank - 1, -1, -1):  # U[:, :rank] Y = -U[:, rank:]
         y[k] = -(u[k, rank:] + u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]

@@ -22,7 +22,7 @@ from .errors import (
     ReportedViolation,
     SpectralRadiusViolation,
 )
-from .linalg import CLUSTER_TOL, Spectrum, _echelon, eigenvalues, nullspace_info
+from .linalg import CLUSTER_TOL, EchelonInfo, Spectrum, _echelon, eigenvalues, nullspace_info
 
 RHO_MARGIN = 1e-10
 JORDAN_TOL = 1e-8
@@ -61,7 +61,10 @@ class JordanBasis:
     ``chains[j][k-1]`` is the k-th vector of the j-th chain as a full-X
     vector vanishing on the boundary; applying (lam I - P_int) to the
     k-th vector yields the (k-1)-th, and the first vector of each chain
-    is an eigenvector.
+    is an eigenvector.  The vectors are complex128.  The rank evidence
+    of level k: ``kernel_infos[k-1]``, the elimination that found ker B^k,
+    and ``top_infos[k-1]``, the one that picked its chain tops; every gap
+    in both is at least ``GAP_FACTOR``.
     """
 
     chain: Chain
@@ -70,6 +73,8 @@ class JordanBasis:
     alg_mult: int
     chain_lengths: tuple[int, ...]
     chains: tuple[tuple[np.ndarray, ...], ...]
+    kernel_infos: tuple[EchelonInfo, ...]
+    top_infos: tuple[EchelonInfo, ...]
 
     def vectors(self, max_order: int | None = None) -> list[np.ndarray]:
         """Flatten chains, keeping at most ``max_order`` vectors each."""
@@ -108,6 +113,10 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     new top they are pure rounding).  The output is deterministic given
     the pivot order, longest chains first.
 
+    At an exactly real snapped eigenvalue B is real and all arithmetic is
+    float64, otherwise complex128; the vectors returned are complex128
+    either way (with imaginary parts exactly 0 at a real eigenvalue).
+
     A defective eigenvalue in a Jordan block of size m splits by roughly
     eps**(1/m) in floating point, so recognising one of multiplicity 3
     or more needs a correspondingly coarse ``cluster_tol`` (the cluster
@@ -130,18 +139,21 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
             f"{lam} is not within {spec.cluster_tol} of the computed spectrum "
             f"{[complex(z) for z in spec.eigenvalues]}"
         )
-    lam0 = nearest
-    kappa = spec.mult_of(lam0)
+    kappa = spec.mult_of(nearest)
+    # P is real, so at a real eigenvalue every matrix below is real
+    lam0 = nearest.real if nearest.imag == 0 else nearest
 
     p_int = chain.p_int
     m = p_int.shape[0]
-    b = lam0 * np.eye(m, dtype=complex) - p_int
+    b = lam0 * np.eye(m) - p_int
+    dtype = b.dtype
 
     # nested kernels N_k = ker(B^k) until the dimension reaches the
     # algebraic multiplicity; rank thresholds stay relative to |B|^k,
     # not |B^k| (powers of near-nilpotent blocks have tiny norms)
-    levels = [np.zeros((m, 0), dtype=complex)]
-    bk = np.eye(m, dtype=complex)
+    levels = [np.zeros((m, 0), dtype=dtype)]
+    bk = np.eye(m, dtype=dtype)
+    kernel_infos = []
     dims = [0]
     scale_b = max(float(np.abs(b).max()), 1e-300)
     for k in range(1, m + 1):
@@ -154,7 +166,8 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
                 f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
                 f"vs discarded {info.largest_dropped:.3e}"
             )
-        levels.append(np.array(basis, dtype=complex).reshape(-1, m).T)
+        kernel_infos.append(info)
+        levels.append(np.array(basis, dtype=dtype).reshape(-1, m).T)
         dims.append(len(basis))
         if len(basis) >= kappa:
             break
@@ -166,8 +179,8 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
 
     # chain tops level by level, deepest first; column j of ``vecs`` is
     # chain j's member at the current level
-    vecs = np.zeros((m, 0), dtype=complex)
-    members = []
+    vecs = np.zeros((m, 0), dtype=dtype)
+    members, top_infos = [], []
     for k in range(depth, 0, -1):
         vecs = b @ vecs
         below, carried = levels[k - 1], vecs.shape[1]
@@ -190,22 +203,23 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
         tops = cand[:, perm[:want]]
         vecs = np.hstack([vecs, tops / np.linalg.norm(tops, axis=0)])
         members.append(vecs)
+        top_infos.append(info)
 
     members.reverse()  # eigenvectors first
-    chains_full = []
-    for j in range(dims[1]):
-        c = [v[:, j] for v in members if v.shape[1] > j]
-        alpha = _chain_scale(c[0])
-        chains_full.append(tuple(chain.embed(alpha * v) for v in c))
-    chains_full = tuple(chains_full)
-    lengths = tuple(len(c) for c in chains_full)
+    top_infos.reverse()
+    # one scale per chain, from its eigenvector; one embedding per level
+    alpha = np.array([_chain_scale(v) for v in members[0].T], dtype=complex)
+    rows = [chain.embed(v * alpha[:v.shape[1]]).T.copy() for v in members]
+    chains_full = tuple(tuple(r[j] for r in rows if len(r) > j) for j in range(dims[1]))
     return JordanBasis(
         chain=chain,
         lam=complex(lam0),
         geo_mult=dims[1],
         alg_mult=kappa,
-        chain_lengths=lengths,
+        chain_lengths=tuple(len(c) for c in chains_full),
         chains=chains_full,
+        kernel_infos=tuple(kernel_infos),
+        top_infos=tuple(top_infos),
     )
 
 

@@ -113,6 +113,36 @@ def test_bench_spectral_jordan_bases_eliminate_twice_per_level(tmp_path, monkeyp
     assert all(n == 2 * levels for n, levels in seen), seen
 
 
+def test_bench_spectral_eliminations_are_real_at_real_eigenvalues(tmp_path, monkeypatch):
+    """In one ``spectral`` round, every elimination of the tree-section
+    operations and of ``dense13`` (all at real eigenvalues) gets a
+    float64 matrix; ``dense35`` and ``dense56``, at complex eigenvalues,
+    get complex128."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    spectral, linalg = polyharm.spectral, polyharm.linalg
+    echelon, dtypes = linalg._echelon, {}
+
+    def recording_echelon(m, tol):
+        dtypes.setdefault(current[0], set()).add(m.dtype.name)
+        return echelon(m, tol)
+
+    monkeypatch.setattr(linalg, "_echelon", recording_echelon)
+    monkeypatch.setattr(spectral, "_echelon", recording_echelon)
+    current = [None]
+    for op in workloads.spectral(polyharm, 7, tmp_path).round:
+        current[0] = op.name
+        assert op.check(op.run()) == [], op.name
+    jordan = {name: kinds for name, kinds in dtypes.items()
+              if name.startswith(("tree", "dense"))}
+    assert len(jordan) == 9, sorted(jordan)
+    for name, kinds in jordan.items():
+        want = "complex128" if name.startswith(("dense35", "dense56")) else "float64"
+        assert kinds == {want}, (name, kinds)
+
+
 def _per_riquier_round(tmp_path, monkeypatch, calls):
     """Two ``riquier`` rounds on one workload, every answer passing the
     benchmark's check: the count in ``calls[0]`` over each."""

@@ -439,6 +439,27 @@ def test_nullspace_matches_reference(n):
         assert np.abs(q - ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 27, 40, 60])
+def test_real_nullspace_matches_complex(n):
+    """A real matrix is eliminated in float64 and its kernel basis is
+    float64; against the same matrix as complex128 the rank decision is
+    the same, the pivots agree to 1e-13 of the largest one and the
+    kernels' orthogonal projectors to 1e-12."""
+    rng = np.random.default_rng(100 + n)
+    for a in _mixed_rank_stack(rng, 5, n, n, False):
+        basis, info = nullspace_info(a, 1e-10)
+        cbasis, cinfo = nullspace_info(a.astype(complex), 1e-10)
+        assert all(v.dtype == np.float64 for v in basis)
+        assert all(v.dtype == np.complex128 for v in cbasis)
+        assert (info.rank, info.threshold) == (cinfo.rank, cinfo.threshold)
+        if info.rank:
+            assert np.abs(info.pivots - cinfo.pivots).max() <= 1e-13 * cinfo.pivots.max()
+        assert len(basis) == len(cbasis) == n - info.rank
+        if basis:
+            q, cq = np.column_stack(basis), np.column_stack(cbasis)
+            assert np.abs(q @ q.T - cq @ cq.conj().T).max() <= 1e-12
+
+
 def test_echelon_counts(monkeypatch):
     """nullspace_info is one elimination.  network_spectrum_check is one
     elimination per cluster, each on a matrix of that cluster's own

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyharm import spectral
+from polyharm import linalg, spectral
 from polyharm import (
     build_chain,
     build_network,
@@ -315,6 +315,43 @@ def test_jordan_basis_at_true_eigenvalue_of_dense_chain():
     assert np.abs(op @ v).max() <= 1e-10
 
 
+def _record_echelon_dtypes(monkeypatch):
+    seen, real = [], linalg._echelon
+
+    def recording(m, tol):
+        seen.append(m.dtype)
+        return real(m, tol)
+
+    monkeypatch.setattr(linalg, "_echelon", recording)
+    monkeypatch.setattr(spectral, "_echelon", recording)
+    return seen
+
+
+def test_real_eigenvalues_are_worked_in_float64(monkeypatch, forward_path):
+    """At a real eigenvalue every elimination sees a float64 matrix, and
+    the vectors come back complex128 with imaginary parts exactly 0."""
+    seen = _record_echelon_dtypes(monkeypatch)
+    c = random_chain(np.random.default_rng(3), size=12)
+    ev = np.linalg.eigvals(c.p_int)
+    z = float(ev[ev.imag == 0][0].real)
+    for ch, lam in ((forward_path, 0.0), (_lazy_forward_path(6), 0.5), (c, z)):
+        out = jordan_basis(ch, lam).vectors() + global_polyharmonic_basis(ch, lam, 2)
+        assert all(v.dtype == np.complex128 and not v.imag.any() for v in out)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
+def test_complex_eigenvalues_are_worked_in_complex128(monkeypatch):
+    seen = _record_echelon_dtypes(monkeypatch)
+    c = random_chain(np.random.default_rng(0), size=10)
+    ev = np.linalg.eigvals(c.p_int)
+    z = complex(ev[np.argmax(ev.imag)])
+    assert z.imag > 0.01
+    jb = jordan_basis(c, z)
+    assert all(v.dtype == np.complex128 for v in jb.vectors())
+    assert jb.chains[0][0].imag.any()
+    assert seen and set(seen) == {np.dtype(np.complex128)}
+
+
 # --------------------------------------------- Jordan structure at size
 
 def _lazy_forward_path(k):
@@ -433,6 +470,23 @@ def test_binary_section_of_depth_8():
             prev = v[ii]
     vs = np.column_stack(jb.vectors())
     assert np.linalg.matrix_rank(vs / np.linalg.norm(vs, axis=0), tol=1e-8) == 255
+
+
+def test_jordan_basis_keeps_its_rank_evidence(forward_path):
+    """On the forward path and at interior 255: one kernel and one top
+    elimination per level, every gap at least GAP_FACTOR, kernel ranks
+    that match the chain lengths and, at level k, one top kept per chain
+    of length k."""
+    for c in (forward_path, _binary_section(8, np.random.default_rng(8))):
+        jb = jordan_basis(c, 0.0)
+        levels = range(1, max(jb.chain_lengths) + 1)
+        assert len(jb.kernel_infos) == len(jb.top_infos) == len(levels)
+        for info in jb.kernel_infos + jb.top_infos:
+            assert info.gap >= spectral.GAP_FACTOR
+        assert [len(c.interior) - info.rank for info in jb.kernel_infos] == [
+            sum(min(k, n) for n in jb.chain_lengths) for k in levels]
+        assert [info.rank for info in jb.top_infos] == [
+            jb.chain_lengths.count(k) for k in levels]
 
 
 def _grid_network(m, rng=None):
