@@ -9,7 +9,11 @@ chain keeps its latest factorisation, with F and G once formed, so
 every solver called on the same chain and lam shares one LU (and one
 F), across calls.  The Dirichlet problem is one solve on it, the
 order-n Riquier tower n, and the tower is checked by products with
-P_int and Q, never with the LU.
+P_int and Q, never with the LU.  Those real blocks multiply complex
+vectors in real arithmetic (:func:`real_matmul`), never copied to
+complex.  Besides its LU a chain keeps only layouts, each formed on its
+first use: P_int and Q, the rows :meth:`Chain.embed` writes through, and
+the n-th interior (ids and rows) of each order n asked for.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, boundary_vector, full_vector, nth_interior
+from .chain import Chain, boundary_vector, full_vector, nth_interior, nth_layout
 from .errors import ConsistencyError, LambdaInSpectrum, Singular, TowerMismatch
-from .linalg import LUFactorization, lu_factor
+from .linalg import LUFactorization, lu_factor, real_matmul
 
 RESIDUAL_RTOL = 1e-9
 TOWER_TOL = 1e-8
@@ -43,9 +47,9 @@ def _delta_power(p: np.ndarray, q: np.ndarray, lam: complex,
     """Interior rows of Delta_lam^n applied to (f_int, f_bnd): A^n f_int -
     A^(n-1) Q f_bnd with A = lam I - P_int, by n products with P_int.
     Vectors or matrices (one column per function) alike."""
-    r = (lam * f_int - p @ f_int) - q @ f_bnd
+    r = (lam * f_int - real_matmul(p, f_int)) - real_matmul(q, f_bnd)
     for _ in range(n - 1):
-        r = lam * r - p @ r
+        r = lam * r - real_matmul(p, r)
     return r
 
 
@@ -190,7 +194,7 @@ def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
     gv = boundary_vector(chain, g)
     gm = green(chain, lam)
     p, q = chain.p_int, chain.q
-    h_int = gm.apply_green(q @ gv)
+    h_int = gm.apply_green(real_matmul(q, gv))
     values = chain.embed(h_int, gv)
     return Solution(
         chain=chain,
@@ -234,7 +238,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     stage_res = np.zeros(len(chain.interior))
     backward = 0.0
     for g_r in reversed(gs):
-        f_r = gm.apply_green(q @ g_r + above)
+        f_r = gm.apply_green(real_matmul(q, g_r) + above)
         res = np.abs(_delta_power(p, q, lam, f_r, g_r, 1) - above)
         bound = abs(lam) * np.abs(f_r) + p @ np.abs(f_r) + q @ np.abs(g_r) + np.abs(above)
         # a zero bound means every term of that row is exactly zero
@@ -244,9 +248,9 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
         stages.append(f_r)
         above = f_r
 
-    inner = nth_interior(chain, n)
+    inner, rows = nth_layout(chain, n)
     top_res = chain.embed(np.abs(_delta_power(p, q, lam, stages[-1], gs[0], n)))
-    top = max((top_res[chain.vertex_index(v)] for v in inner), default=0.0)
+    top = float(top_res[rows].max(initial=0.0))
     lim_top = TOWER_TOL * _scale(lam, n, *stages, *gs)
     if backward > TOWER_TOL or top > lim_top:
         raise TowerMismatch(
@@ -300,17 +304,16 @@ def polyharmonic_residual(chain: Chain, lam: complex, f, n: int) -> ResidualRepo
         raise ValueError(f"order must be >= 1, got {n}")
     fv = full_vector(chain, f)
     r = _delta_power(chain.p_int, chain.q, lam,
-                     fv[list(chain.interior)], fv[list(chain.boundary)], n)
+                     fv[chain.interior_rows], fv[chain.boundary_rows], n)
     residuals = chain.embed(np.abs(r))
-    inner = nth_interior(chain, n)
+    inner, rows = nth_layout(chain, n)
     return ResidualReport(
         chain=chain,
         lam=complex(lam),
         order=n,
         residuals=residuals,
         nth_interior=inner,
-        max_on_interior=float(max((residuals[chain.vertex_index(v)] for v in inner),
-                                  default=0.0)),
+        max_on_interior=float(residuals[rows].max(initial=0.0)),
         tol=residual_tol(lam, fv),
     )
 

@@ -12,7 +12,7 @@ in P.  :attr:`Chain.p_int` and :attr:`Chain.q` are those two blocks,
 each formed once, on first read, and read-only: a view of P when the
 block's rows and columns are each one contiguous run of indices, a copy
 otherwise.  :meth:`Chain.embed` puts interior (and boundary) values back
-into vertex order.
+into vertex order, through row layouts that are also formed on first use.
 :func:`build_chain` answers its reachability questions with frontier
 sweeps over one boolean support matrix: the sweeps give every vertex
 its distance to the boundary (``Chain.dist``), and one ``any`` over the
@@ -48,10 +48,10 @@ class Chain:
     """Validated absorbing chain.
 
     Immutable after construction; the transition matrix is stored with
-    the write flag cleared so instances can be shared freely.  The one
-    mutable slot, ``_green``, is written only by :func:`polyharm.bvp.green`:
+    the write flag cleared so instances can be shared freely.  The
+    mutable slot ``_green`` is written only by :func:`polyharm.bvp.green`:
     it keeps the chain's latest LU of lam I - P_int, with F and G once
-    formed.
+    formed.  ``_nth`` is written only by :func:`nth_layout`.
 
     Attributes
     ----------
@@ -69,6 +69,9 @@ class Chain:
         sharing memory with ``trans`` when its rows and its columns are
         one contiguous run of indices (interior listed before boundary,
         or after it), and a copy otherwise.
+    interior_rows, boundary_rows : slice or ndarray
+        Each part's rows, formed on first read: a slice when the part is
+        one contiguous run of indices, a read-only index array otherwise.
     """
 
     vertices: tuple[str, ...]
@@ -108,6 +111,19 @@ class Chain:
         """Coupling Q: transitions from interior to boundary vertices."""
         return _block(self.trans, self.interior, self.boundary)
 
+    @cached_property
+    def interior_rows(self) -> slice | np.ndarray:
+        return _rows(self.interior)
+
+    @cached_property
+    def boundary_rows(self) -> slice | np.ndarray:
+        return _rows(self.boundary)
+
+    @cached_property
+    def _nth(self) -> dict:
+        # n -> (n-th interior, its rows), formed per n by nth_layout
+        return {}
+
     def embed(self, interior_vals, boundary_vals=0) -> np.ndarray:
         """Values over X in vertex order: ``interior_vals`` on the interior
         rows and ``boundary_vals`` on the boundary rows.
@@ -120,8 +136,8 @@ class Chain:
         interior_vals = np.asarray(interior_vals)
         out = np.zeros((self.n,) + interior_vals.shape[1:],
                        dtype=np.result_type(interior_vals, boundary_vals))
-        out[list(self.interior)] = interior_vals
-        out[list(self.boundary)] = boundary_vals
+        out[self.interior_rows] = interior_vals
+        out[self.boundary_rows] = boundary_vals
         return out
 
 
@@ -132,6 +148,16 @@ class Network:
 
     edges: tuple[tuple[str, str, float], ...]
     boundary: tuple[str, ...]
+
+
+def _rows(idx: tuple[int, ...]) -> slice | np.ndarray:
+    """Ascending ``idx`` as a slice when it is one contiguous run, else
+    as a read-only index array."""
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    out = np.array(idx)
+    out.setflags(write=False)
+    return out
 
 
 def _block(trans: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
@@ -346,16 +372,31 @@ def nth_boundary(chain: Chain, n: int) -> frozenset[str]:
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    dist = boundary_distance(chain)
-    return frozenset(v for v, d in dist.items() if d <= n - 1)
+    return frozenset(v for v, d in zip(chain.vertices, chain.dist) if d <= n - 1)
 
 
 def nth_interior(chain: Chain, n: int) -> tuple[str, ...]:
     """The complement of :func:`nth_boundary`, sorted: the vertices at
-    least n steps from the boundary."""
+    least n steps from the boundary.  The chain keeps it, so every call
+    with the same n returns the same tuple."""
+    return nth_layout(chain, n)[0]
+
+
+def nth_layout(chain: Chain, n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The n-th interior, sorted, and its rows (a read-only index array),
+    formed on the first call for the chain and n and kept by the chain."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return tuple(sorted(v for v, d in zip(chain.vertices, chain.dist) if d >= n))
+    kept = chain._nth.get(n)
+    if kept is None:
+        kept = chain._nth[n] = _form_nth_layout(chain, n)
+    return kept
+
+
+def _form_nth_layout(chain: Chain, n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    rows = np.flatnonzero(np.array(chain.dist) >= n)
+    rows.setflags(write=False)
+    return tuple(sorted(chain.vertices[i] for i in rows)), rows
 
 
 # ------------------------------------------------------- vector plumbing

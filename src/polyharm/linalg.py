@@ -14,7 +14,8 @@ Higham, IMA J. Numer. Anal. 1992).  The complete-pivot elimination
 behind the nullspace takes one matrix at a time and stops at its own
 threshold.  Steps that decide nothing are LAPACK's: the Householder QR
 that orthonormalises a kernel basis.  The nullspace alone keeps real
-input real: float64 elimination and a float64 kernel basis.
+input real: float64 elimination and a float64 kernel basis, and
+:func:`real_matmul` multiplies real by complex in real arithmetic.
 
 Eigenvalues carry no such meaning and come from LAPACK
 (``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
@@ -191,7 +192,21 @@ def lu_solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
 
 def residual_inf(a, x, b) -> float:
     """Max-norm residual |A X - B|_inf."""
-    return float(np.abs(np.asarray(a) @ np.asarray(x) - np.asarray(b)).max())
+    return float(np.abs(real_matmul(np.asarray(a), np.asarray(x)) - np.asarray(b)).max())
+
+
+def real_matmul(a: np.ndarray, x) -> np.ndarray:
+    """``a @ x`` for a real matrix ``a``.  numpy would copy ``a`` to
+    complex for a complex ``x``; a complex128 vector or matrix ``x`` is
+    read instead as float64, each real part beside its imaginary part, so
+    one real product gives the result's parts, read back as complex.  Any
+    other input is a plain ``a @ x``."""
+    x = np.asarray(x)
+    if a.dtype != np.float64 or x.dtype != np.complex128 or x.ndim not in (1, 2):
+        return a @ x
+    xr = np.ascontiguousarray(x if x.ndim == 2 else x[:, None]).view(np.float64)
+    out = (a @ xr).view(np.complex128)
+    return out if x.ndim == 2 else out[:, 0]
 
 
 # ------------------------------------------------------------ nullspace

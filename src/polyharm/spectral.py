@@ -241,8 +241,8 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
     jb = jordan_basis(chain, lam, tol, cluster_tol=cluster_tol)
     basis = jb.vectors(max_order=n)
     v = np.array(basis).T
-    res = np.abs(_delta_power(chain.p_int, chain.q, jb.lam, v[list(chain.interior)],
-                              v[list(chain.boundary)], n)).max(axis=0)
+    res = np.abs(_delta_power(chain.p_int, chain.q, jb.lam, v[chain.interior_rows],
+                              v[chain.boundary_rows], n)).max(axis=0)
     lim = 1e-8 * np.abs(v).max(axis=0)
     for r, bound in zip(res, lim):
         if r > bound:

@@ -51,6 +51,9 @@ def binomial(a: int, k: int) -> int:
     return num // math.factorial(k)
 
 
+_NO_LAST = (object(), None, None)  # no caller's section is this object
+
+
 @dataclass(eq=False)
 class ForwardTree:
     """Rooted tree truncated at depth D with an additive arc measure.
@@ -79,7 +82,7 @@ class ForwardTree:
     # accepted sections, keyed by their set of ids
     _sections: dict[frozenset, "_Section"] = field(default_factory=dict, init=False, repr=False)
     # (list, copy of its ids, record) of the last section accepted as a list
-    _last: tuple | None = field(default=None, init=False, repr=False)
+    _last: tuple = field(default=_NO_LAST, init=False, repr=False)
 
     def is_ancestor(self, x: str, y: str) -> bool:
         """True when ``x`` lies on the root path of ``y`` (x == y counts).
@@ -261,9 +264,10 @@ _Section = namedtuple("_Section", "interior inner boundary ids")
 def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
     """The record of an accepted section: from the last-list memo, else
     by its ids, else from a new walk; the record fixes the domain of
-    every closed form on that section."""
+    every closed form on that section.  The two per-entry closed forms
+    test the memo inline, and call this only when it misses."""
     last = tree._last
-    if last is not None and section is last[0] and section == last[1]:
+    if section is last[0] and section == last[1]:
         return last[2]
     key = frozenset(section)
     rec = tree._sections.get(key)
@@ -321,7 +325,8 @@ def restrict_to_section(tree: ForwardTree, section: Collection[str]) -> Chain:
 
 
 def _require_nonzero(lam: complex) -> complex:
-    lam = complex(lam)
+    if type(lam) is not complex:
+        lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("closed-form tree kernels need lam != 0")
     return lam
@@ -332,8 +337,12 @@ def tree_green(tree: ForwardTree, section: Collection[str], lam: complex,
     """Closed-form Green value on the section-restricted chain:
     lam^(-d(x,y)-1) mass(y)/mass(x) when x is an ancestor of y (or x == y),
     zero off-path."""
-    lam = _require_nonzero(lam)
-    inner = _check_section(tree, section).inner
+    last = tree._last
+    if type(lam) is complex and lam and section is last[0] and section == last[1]:
+        inner = last[2].inner
+    else:
+        lam = _require_nonzero(lam)
+        inner = _check_section(tree, section).inner
     try:
         tx, ox, dx, mx = inner[x]
         ty, _, dy, my = inner[y]
@@ -351,8 +360,12 @@ def section_kernel(tree: ForwardTree, section: Collection[str], lam: complex,
     lam^(|x|-r+1) C(d(x,w)+r-2, r-1) / mass(x) when w sits below x, zero
     otherwise.  Order 1 is the Martin kernel itself.  ``x`` must be a
     vertex of the restriction: interior or on the section."""
-    lam = _require_nonzero(lam)
-    rec = _check_section(tree, section)
+    last = tree._last
+    if type(lam) is complex and lam and section is last[0] and section == last[1]:
+        rec = last[2]
+    else:
+        lam = _require_nonzero(lam)
+        rec = _check_section(tree, section)
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
     fw = rec.ids.get(w)
@@ -365,7 +378,8 @@ def section_kernel(tree: ForwardTree, section: Collection[str], lam: complex,
     tw, _, dw, _ = fw
     if not tx <= tw < ox:
         return 0j
-    c = binomial(dw - dx + r - 2, r - 1)
+    a = dw - dx + r - 2
+    c = math.comb(a, r - 1) if a >= 0 else binomial(a, r - 1)
     return lam ** (dx - r + 1) * c / mx
 
 

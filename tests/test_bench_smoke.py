@@ -211,3 +211,11 @@ def test_bench_riquier_rounds_hit_the_last_section(tmp_path, monkeypatch):
 
     monkeypatch.setattr(polyharm, "build_tree", counting_build)
     assert _per_riquier_round(tmp_path, monkeypatch, calls) == [0, 0]
+
+
+def test_bench_riquier_rounds_keep_the_nth_interiors(tmp_path, monkeypatch):
+    """The first round forms the n-th interior once per chain and order
+    asked for: n = 1, 2, 3 on each of the three dense chains and n = 2 on
+    each tree section.  The second round, on the same chains, forms none."""
+    assert _calls_per_riquier_round(tmp_path, monkeypatch, polyharm.chain,
+                                    "_form_nth_layout") == [11, 0]

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -505,3 +506,25 @@ def test_free_space_refuses_a_wrong_basis(monkeypatch, p4):
     monkeypatch.setattr(bvp.GreenMatrix, "f", wrong)
     with pytest.raises(ConsistencyError, match="order-2 residual"):
         free_polyharmonic_space(p4, 1.5, 2)
+
+
+def test_delta_power_makes_no_complex_copy_of_the_real_blocks():
+    """Delta_lam^3 of a complex function at k = 300 allocates less than
+    one complex copy of P_int (16 k^2 bytes): the products with P_int and
+    Q run in real arithmetic."""
+    k, nb = 300, 8
+    rng = np.random.default_rng(67)
+    p, q = rng.random((k, k)) / k, rng.random((k, nb)) / k
+    f = rng.random(k) + 1j * rng.random(k)
+    g = rng.random(nb) + 1j * rng.random(nb)
+    lam = 1.3 + 0.2j
+    tracemalloc.start()
+    try:
+        got = bvp._delta_power(p, q, lam, f, g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * k * k
+    a = lam * np.eye(k) - p
+    want = a @ a @ (a @ f - q @ g)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -502,3 +502,69 @@ def test_from_network_parallel_edges_and_a_loop():
                                     [0.6, 0.1, 0.0, 0.3],
                                     [0.0, 0.0, 1.0, 0.0],
                                     [0.0, 0.0, 0.0, 1.0]])
+
+
+# ------------------------------------------------------ kept layouts
+
+_LAYOUTS = {"p_int", "q", "interior_rows", "boundary_rows", "_nth"}
+
+
+def _interleaved_chain(rng, n=9):
+    """Dense chain whose interior and boundary alternate in vertex order,
+    so neither part is one contiguous run of indices."""
+    ids = [f"w{i}" if i % 2 == 0 else f"x{i}" for i in range(n)]
+    trans = np.zeros((n, n))
+    for i in range(n):
+        if i % 2:
+            row = 0.1 + rng.random(n)
+            trans[i] = row / row.sum()
+        else:
+            trans[i, i] = 1.0
+    return build_chain(ids, ids[1::2], ids[0::2], trans)
+
+
+def test_a_new_chain_forms_no_layout():
+    tree = build_tree({"o": ["a", "b"]}, measure={"o": 1.0, "a": 0.5, "b": 0.5})
+    for c in (random_chain(np.random.default_rng(5), size=12),
+              _interleaved_chain(np.random.default_rng(5)),
+              restrict_to_section(tree, ["a", "b"])):
+        assert not _LAYOUTS & set(vars(c))
+
+
+def test_embed_through_an_index_layout_matches_fancy_indexing():
+    rng = np.random.default_rng(71)
+    c = _interleaved_chain(rng)
+    assert isinstance(c.interior_rows, np.ndarray) and isinstance(c.boundary_rows, np.ndarray)
+    k, nb = len(c.interior), len(c.boundary)
+    vals = rng.random((k, 3)) + 1j * rng.random((k, 3))
+    bvals = rng.random((nb, 3))
+    for iv, bv in ((vals[:, 0], bvals[:, 0]), (vals, bvals), (vals.real, 2.5), (vals[:, 1], 0)):
+        want = np.zeros((c.n,) + np.shape(iv)[1:], dtype=np.result_type(iv, bv))
+        want[list(c.interior)] = iv
+        want[list(c.boundary)] = bv
+        got = c.embed(iv, bv)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_contiguous_parts_embed_through_slices():
+    tree = build_tree({"o": ["a", "b"]}, measure={"o": 1.0, "a": 0.5, "b": 0.5})
+    for c in (random_chain(np.random.default_rng(7), size=12),
+              restrict_to_section(tree, ["a", "b"])):
+        assert isinstance(c.interior_rows, slice) and isinstance(c.boundary_rows, slice)
+        vals = np.arange(len(c.interior)) + 1.0
+        want = np.zeros(c.n)
+        want[list(c.interior)] = vals
+        want[list(c.boundary)] = -1.0
+        assert np.array_equal(c.embed(vals, -1.0), want)
+
+
+def test_nth_interior_is_kept_per_order():
+    rng = np.random.default_rng(73)
+    for c in (_sparse_chain(rng, 30), _interleaved_chain(rng)):
+        for n in range(1, max(c.dist) + 2):
+            first = nth_interior(c, n)
+            assert nth_interior(c, n) is first
+            assert first == tuple(sorted(v for v, d in zip(c.vertices, c.dist) if d >= n))
+            ids, rows = chainmod.nth_layout(c, n)
+            assert ids is first and not rows.flags.writeable
+            assert sorted(c.vertices[i] for i in rows) == list(first)

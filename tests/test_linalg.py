@@ -14,6 +14,7 @@ from polyharm.linalg import (
     lu_solve,
     nullspace,
     nullspace_info,
+    real_matmul,
     residual_inf,
 )
 
@@ -599,3 +600,45 @@ def test_eigenvalues_accurate_on_random_chains():
         for z in spec.eigenvalues:
             smin = np.linalg.svd(z * np.eye(p.shape[0]) - p, compute_uv=False)[-1]
             assert smin <= 1e-10, (n, z, smin)
+
+
+# ------------------------------------------------- real times complex
+
+def _real_matmul_operands():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((20, 7)) + 1j * rng.standard_normal((20, 7))
+    wide = rng.standard_normal((7, 20)) + 1j * rng.standard_normal((7, 20))
+    # vector, matrix, column slices (strided vector, strided matrix),
+    # a transpose (Fortran order), real operands and empty ones
+    return [x[:, 0].copy(), x, x[:, 3], x[:, ::2], x[:, 2:5], wide.T,
+            x.real.copy(), x[:, 1].real, np.zeros((20, 0), dtype=complex)]
+
+
+def test_real_matmul_matches_the_complex_product():
+    a = np.random.default_rng(43).standard_normal((30, 20))
+    eps = np.finfo(float).eps
+    for x in _real_matmul_operands():
+        got = real_matmul(a, x)
+        want = a.astype(complex) @ x
+        assert got.shape == want.shape
+        assert got.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
+        bound = a.shape[1] * eps * np.linalg.norm(a) * np.linalg.norm(x)
+        assert np.linalg.norm(got - want) <= bound
+
+
+def test_real_matmul_leaves_other_inputs_to_numpy():
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert np.array_equal(real_matmul(a, x), a @ x)
+    real = a.real.copy()
+    assert np.array_equal(real_matmul(real, x.real), real @ x.real)
+    assert np.array_equal(real_matmul(real, x.astype(np.complex64)), real @ x.astype(np.complex64))
+
+
+def test_residual_inf_of_real_a_and_complex_x():
+    rng = np.random.default_rng(53)
+    a = rng.standard_normal((12, 12))
+    x = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    b = a.astype(complex) @ x + (1 + 1j) * 1e-3
+    assert residual_inf(a, x, b) == pytest.approx(1e-3 * np.sqrt(2), rel=1e-9)

@@ -504,3 +504,43 @@ def test_tree_doc_round_trip(binary_tree):
     assert section == sorted(DEPTH2_SECTION)
     for v in binary_tree.vertices:
         assert rebuilt.measure[v] == binary_tree.measure[v]
+
+
+def test_section_kernel_matches_the_binomial_formula_at_depth_8():
+    """Every order r <= 8 at every vertex on the root path of every
+    section vertex, including x = w (where r = 1 takes C(-1, 0)), equals
+    the formula with the generalised binomial exactly; off the path the
+    kernel is zero."""
+    t, sec = _binary_tree(np.random.default_rng(8), 8)
+    lam = complex(1.3, -0.4)
+    for w in sec:
+        for x in t.path_from_root(w):
+            dx, dw, mx = t.depth[x], t.depth[w], t.measure[x]
+            for r in range(1, 9):
+                want = lam ** (dx - r + 1) * binomial(dw - dx + r - 2, r - 1) / mx
+                assert section_kernel(t, sec, lam, r, x, w) == want
+    assert section_kernel(t, sec, lam, 2, sec[0], sec[1]) == 0
+
+
+def test_closed_forms_give_the_same_bytes_for_every_lambda_type(binary_tree):
+    s = DEPTH2_SECTION
+    inner = ["o", "u1", "u2"]
+
+    def entries(lam):
+        green = [tree_green(binary_tree, s, lam, x, y) for x in inner for y in inner]
+        kern = [section_kernel(binary_tree, s, lam, r, x, w)
+                for r in (1, 2, 3) for x in inner + s for w in s]
+        return np.array(green + kern).tobytes()
+
+    for value in (2, -3, 0.75, -1.5):
+        want = entries(complex(value))
+        for lam in (value, float(value), np.complex128(value), np.float64(value)):
+            assert entries(lam) == want, type(lam)
+    assert entries(np.complex128(0.5 - 1.25j)) == entries(0.5 - 1.25j)
+    for zero in (0, 0.0, 0j, np.complex128(0)):
+        with pytest.raises(ZeroLambda):
+            tree_green(binary_tree, s, zero, "o", "u1")
+        with pytest.raises(ZeroLambda):
+            section_kernel(binary_tree, s, zero, 1, "o", s[0])
+        with pytest.raises(ZeroLambda):  # lam is checked before the section
+            section_kernel(binary_tree, ["nowhere"], zero, 1, "o", s[0])
