@@ -340,16 +340,22 @@ class Spectrum:
         return max((abs(z) for z in self.eigenvalues), default=0.0)
 
     def mult_of(self, lam: complex, tol: float | None = None) -> int:
-        """Algebraic multiplicity of the eigenvalue nearest ``lam``
-        within ``tol`` (0 if none)."""
+        """Algebraic multiplicity of the eigenvalue nearest ``lam``, or 0
+        when that eigenvalue is farther than ``tol`` (or there is none)."""
         tol = self.cluster_tol if tol is None else tol
-        for z, m in zip(self.eigenvalues, self.alg_mult):
-            if abs(z - lam) <= tol:
-                return m
-        return 0
+        if not self.eigenvalues:
+            return 0
+        z = self.nearest(lam)
+        return self.alg_mult[self.eigenvalues.index(z)] if abs(z - lam) <= tol else 0
 
     def nearest(self, lam: complex) -> complex:
         return min(self.eigenvalues, key=lambda z: abs(z - lam))
+
+
+def _working_radius(values: np.ndarray, cluster_tol: float) -> float:
+    """Radius within which computed eigenvalues ``values`` (not empty)
+    merge: ``cluster_tol`` floored at 32 sqrt(eps) (1 + max|z|)."""
+    return max(cluster_tol, 32.0 * np.sqrt(_EPS) * (1.0 + float(np.abs(values).max())))
 
 
 def _cluster(roots: np.ndarray, tol: float) -> tuple[list[complex], list[int]]:
@@ -419,7 +425,6 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
             f"> {limit[bad]:.3e}"
         )
 
-    scale_r = 1.0 + float(np.abs(roots).max())
-    radius = max(cluster_tol, 32.0 * np.sqrt(_EPS) * scale_r)
+    radius = _working_radius(roots, cluster_tol)
     centers, mults = _cluster(roots, radius)
     return Spectrum(tuple(centers), tuple(mults), cluster_tol, radius)

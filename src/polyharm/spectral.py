@@ -22,7 +22,8 @@ from .errors import (
     ReportedViolation,
     SpectralRadiusViolation,
 )
-from .linalg import CLUSTER_TOL, EchelonInfo, Spectrum, _echelon, eigenvalues, nullspace_info
+from .linalg import (CLUSTER_TOL, EchelonInfo, Spectrum, _echelon, _working_radius,
+                     eigenvalues, nullspace_info)
 
 RHO_MARGIN = 1e-10
 JORDAN_TOL = 1e-8
@@ -261,7 +262,6 @@ class NetworkSpectrumReport:
     chain: Chain
     spectrum: Spectrum
     symmetry_deviation: float
-    max_imag: float
     geo_mults: tuple[int, ...]
     alg_mults: tuple[int, ...]
 
@@ -273,18 +273,18 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     The similarity by D = diag(sqrt(m(x))) symmetrises the interior
     block, so the spectrum must be real and every eigenvalue must have
     equal geometric and algebraic multiplicity.  The certificate is one
-    symmetric eigendecomposition (LAPACK ``eigh``) of S = D P_int D^-1:
-    each column x = D^-1 v is an eigenvector of P_int.  Each symmetric
-    eigenvalue must lie within the working cluster radius of a centre of
-    the LAPACK spectrum, and each x must have relative residual
-    |P_int x - w x| / |x| at most ``tol``; for a symmetric matrix the
-    residual of a unit vector bounds its distance to an eigenvalue
-    (Parlett, *The Symmetric Eigenvalue Problem*, 1980).  A cluster's
-    geometric multiplicity is then the rank of its own eigenvectors, by
-    our complete-pivot elimination at ``tol``, and must equal its
-    algebraic multiplicity.  Numeric violations raise
-    :class:`ReportedViolation`.  Repeated eigenvalues of a symmetric
-    matrix do not split: the default ``cluster_tol`` resolves them.
+    symmetric eigendecomposition (LAPACK ``eigh``) of S = D P_int D^-1,
+    whose eigenvalues w are the whole spectrum: S is within
+    ``symmetry_deviation`` entrywise of the symmetric matrix ``eigh``
+    decomposes, so every eigenvalue of P_int lies within n times that of
+    a real one (Bauer-Fike, 1960).  Each x = D^-1 v must have relative
+    residual |P_int x - w x| / |x| at most ``tol``, which for a symmetric
+    matrix bounds the distance to an eigenvalue (Parlett, *The Symmetric
+    Eigenvalue Problem*, 1980).  The sorted w split at every gap wider
+    than the working cluster radius; each run is a cluster with its mean
+    as centre and its length as algebraic multiplicity, which must equal
+    the rank of the run's eigenvectors by our complete-pivot elimination
+    at ``tol``.  Numeric violations raise :class:`ReportedViolation`.
     """
     if not isinstance(network, Network):
         raise TypeError("network_spectrum_check needs a Network, "
@@ -299,38 +299,28 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         raise ReportedViolation(
             f"conjugated interior block deviates from symmetry by {sym_dev:.3e}"
         )
-    spec = eigenvalues(p_int, cluster_tol=cluster_tol)
-    max_imag = max((abs(z.imag) for z in spec.eigenvalues), default=0.0)
-    if max_imag > 1e-8:
-        raise ReportedViolation(f"eigenvalue imaginary part {max_imag:.3e} > 1e-8")
     w, v = np.linalg.eigh(sym)
     x = v / d[:, None]
-    centres = np.array(spec.eigenvalues).real
-    gaps = np.abs(w[:, None] - centres)
-    owner = gaps.argmin(axis=1)
-    far = np.flatnonzero(gaps.min(axis=1) > spec.radius)
-    if far.size:
-        raise ReportedViolation(
-            f"symmetric eigenvalue {w[far[0]]:.3e} lies farther than the cluster "
-            f"radius {spec.radius:.3e} from every cluster"
-        )
     resid = np.abs(p_int @ x - x * w).max(axis=0) / np.abs(x).max(axis=0)
     bad = int(resid.argmax())
     if resid[bad] > tol:
         raise ReportedViolation(
             f"eigenvector of {w[bad]:.3e} has relative residual {resid[bad]:.3e} > {tol:.3e}"
         )
-    geo = [_echelon(x[:, owner == c], tol)[1].rank for c in range(len(centres))]
-    for z, g, mult in zip(spec.eigenvalues, geo, spec.alg_mult):
+    radius = _working_radius(w, cluster_tol)
+    runs = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > radius) + 1)
+    centres = tuple(complex(w[r].mean()) for r in runs)
+    mults = tuple(len(r) for r in runs)
+    geo = tuple(_echelon(x[:, r], tol)[1].rank for r in runs)
+    for z, g, mult in zip(centres, geo, mults):
         if g != mult:
             raise ReportedViolation(
                 f"eigenvalue {z}: geometric multiplicity {g} != algebraic {mult}"
             )
     return NetworkSpectrumReport(
         chain=ch,
-        spectrum=spec,
+        spectrum=Spectrum(centres, mults, cluster_tol, radius),
         symmetry_deviation=sym_dev,
-        max_imag=float(max_imag),
-        geo_mults=tuple(geo),
-        alg_mults=spec.alg_mult,
+        geo_mults=geo,
+        alg_mults=mults,
     )

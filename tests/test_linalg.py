@@ -9,6 +9,7 @@ from polyharm.linalg import (
     EchelonInfo,
     _echelon,
     LUFactorization,
+    Spectrum,
     eigenvalues,
     lu_factor,
     lu_solve,
@@ -515,6 +516,17 @@ def test_eigenvalues_full_p4_multiplicity():
     ])
     spec = eigenvalues(trans)
     assert spec.mult_of(1.0, tol=1e-6) == 2
+
+
+def test_mult_of_reads_the_nearest_eigenvalue():
+    """Both centres are within ``tol`` of 0.9e-6; the nearer one, 1.5e-6,
+    has multiplicity 1."""
+    spec = Spectrum((0j, 1.5e-6), (2, 1), 1e-8, 9.5e-7)
+    assert spec.nearest(0.9e-6) == 1.5e-6
+    assert spec.mult_of(0.9e-6, tol=1e-6) == 1
+    assert spec.mult_of(0.2e-6, tol=1e-6) == 2
+    assert spec.mult_of(3e-6, tol=1e-6) == 0
+    assert Spectrum((), (), 1e-8, 1e-8).mult_of(0.0) == 0
 
 
 def test_eigenvalue_trace_det_invariants():
