@@ -352,6 +352,13 @@ class Spectrum:
         return min(self.eigenvalues, key=lambda z: abs(z - lam))
 
 
+def _check_cluster_tol(cluster_tol: float) -> None:
+    """Refuse a ``cluster_tol`` that is not positive and finite: NaN
+    would merge nothing and infinity everything."""
+    if not 0.0 < cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+
+
 def _working_radius(values: np.ndarray, cluster_tol: float) -> float:
     """Radius within which computed eigenvalues ``values`` (not empty)
     merge: ``cluster_tol`` floored at 32 sqrt(eps) (1 + max|z|)."""
@@ -398,8 +405,10 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     is floored at a small multiple of sqrt(eps); ``cluster_tol`` only
     tightens the guarantee that *returned* eigenvalues are pairwise
     separated by more than it.  Pass a larger ``cluster_tol`` to recognise
-    defective eigenvalues of multiplicity 3 or more.
+    defective eigenvalues of multiplicity 3 or more.  A ``cluster_tol``
+    that is not positive and finite raises ``ValueError``.
     """
+    _check_cluster_tol(cluster_tol)
     m = as_matrix(a)
     n, nc = m.shape
     if n != nc:

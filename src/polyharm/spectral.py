@@ -22,8 +22,8 @@ from .errors import (
     ReportedViolation,
     SpectralRadiusViolation,
 )
-from .linalg import (CLUSTER_TOL, EchelonInfo, Spectrum, _echelon, _working_radius,
-                     eigenvalues, nullspace_info)
+from .linalg import (CLUSTER_TOL, EchelonInfo, Spectrum, _check_cluster_tol, _echelon,
+                     _working_radius, eigenvalues, nullspace_info)
 
 RHO_MARGIN = 1e-10
 JORDAN_TOL = 1e-8
@@ -63,9 +63,10 @@ class JordanBasis:
     vector vanishing on the boundary; applying (lam I - P_int) to the
     k-th vector yields the (k-1)-th, and the first vector of each chain
     is an eigenvector.  The vectors are complex128.  The rank evidence
-    of level k: ``kernel_infos[k-1]``, the elimination that found ker B^k,
-    and ``top_infos[k-1]``, the one that picked its chain tops; every gap
-    in both is at least ``GAP_FACTOR``.
+    of level k: ``kernel_infos[k-1]``, the elimination of the deflated
+    block B_k whose kernel holds the new directions of ker B^k (its rank
+    is m - dim ker B^k), and ``top_infos[k-1]``, the one that picked the
+    level's chain tops; every gap in both is at least ``GAP_FACTOR``.
     """
 
     chain: Chain
@@ -103,16 +104,20 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     """Jordan chain structure at an eigenvalue of the interior block.
 
     ``lam`` must be within ``cluster_tol`` of a computed eigenvalue (it
-    is snapped to the computed value).  Nested kernels N_k of powers of
-    B = lam I - P_int are computed by rank-revealing elimination.  From
-    the deepest level down, the chains found so far are carried one
-    level by B; the unit basis vectors of N_k, projected off N_{k-1} and
-    off the carried members, are the candidates, and the new chain tops
-    are the columns our complete-pivot elimination picks from them,
-    keeping pivots above ``tol`` itself (not relative to the largest
-    entry: the candidates are unit vectors, and at a level that wants no
-    new top they are pure rounding).  The output is deterministic given
-    the pivot order, longest chains first.
+    is snapped to the computed value).  The nested kernels N_k = ker B^k
+    of B = lam I - P_int come from staircase deflation, which forms no
+    power of B (Kublanovskaya 1966; Golub & Wilkinson, SIAM Review 1976):
+    B_1 = B, the kernel of B_k gives the new directions D_k of N_k beyond
+    N_{k-1}, and B_{k+1} is B_k compressed to the orthonormal complement
+    of that kernel.  The compressions are unitary, so every level keeps
+    pivots above the same ``tol * max|B|``.  From the deepest level down,
+    the chains found so far are carried one level by B; the unit vectors
+    in the coordinates of D_k, with the carried members' part projected
+    out, are the candidates, and the new chain tops are the columns our
+    complete-pivot elimination picks from them, keeping pivots above
+    ``tol`` itself (not relative to the largest entry: at a level that
+    wants no new top they are pure rounding).  The output is
+    deterministic given the pivot order, longest chains first.
 
     At an exactly real snapped eigenvalue B is real and all arithmetic is
     float64, otherwise complex128; the vectors returned are complex128
@@ -149,50 +154,50 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     b = lam0 * np.eye(m) - p_int
     dtype = b.dtype
 
-    # nested kernels N_k = ker(B^k) until the dimension reaches the
-    # algebraic multiplicity; rank thresholds stay relative to |B|^k,
-    # not |B^k| (powers of near-nilpotent blocks have tiny norms)
-    levels = [np.zeros((m, 0), dtype=dtype)]
-    bk = np.eye(m, dtype=dtype)
-    kernel_infos = []
-    dims = [0]
-    scale_b = max(float(np.abs(b).max()), 1e-300)
+    # staircase deflation: B_1 = B, and B_{k+1} = C^H B_k C for the
+    # orthonormal complement C of ker B_k, so N_k = N_{k-1} + D_k with
+    # D_k = C_{<k} ker B_k, C_{<k} the product of the earlier complements.
+    # The compressions are unitary, so one absolute threshold tol * max|B|
+    # serves every level; an empty kernel ends the search (B_k is then
+    # invertible, so no later power has a larger kernel)
+    block, comp = b, np.eye(m, dtype=dtype)
+    new, kernel_infos, dims = [], [], [0]
+    scale_b = float(np.abs(b).max())
     for k in range(1, m + 1):
-        bk = bk @ b
-        scale_bk = float(np.abs(bk).max())
-        tol_k = tol * scale_b**k / scale_bk if scale_bk > 0 else tol
-        basis, info = nullspace_info(bk, tol_k)
+        scale_k = float(np.abs(block).max(initial=0.0))
+        basis, info = nullspace_info(block, tol * scale_b / scale_k if scale_k > 0 else tol)
         if info.gap < GAP_FACTOR:
             raise IllConditioned(
                 f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
                 f"vs discarded {info.largest_dropped:.3e}"
             )
-        kernel_infos.append(info)
-        levels.append(np.array(basis, dtype=dtype).reshape(-1, m).T)
-        dims.append(len(basis))
-        if len(basis) >= kappa:
+        if not basis:
             break
+        kernel_infos.append(info)
+        kern = np.array(basis, dtype=dtype).T
+        new.append(comp @ kern)
+        dims.append(dims[-1] + len(basis))
+        if dims[-1] >= kappa:
+            break
+        c = np.linalg.qr(kern, mode="complete")[0][:, len(basis):]
+        comp, block = comp @ c, c.conj().T @ block @ c
     if dims[-1] != kappa:
         raise IllConditioned(
             f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
         )
-    depth = len(levels) - 1
 
     # chain tops level by level, deepest first; column j of ``vecs`` is
-    # chain j's member at the current level
+    # chain j's member at the current level.  D_k is orthogonal to
+    # N_{k-1}, so in its coordinates the candidates are the unit vectors
+    # with the carried members' part projected out
     vecs = np.zeros((m, 0), dtype=dtype)
     members, top_infos = [], []
-    for k in range(depth, 0, -1):
+    for k in range(len(new), 0, -1):
         vecs = b @ vecs
-        below, carried = levels[k - 1], vecs.shape[1]
-        w = np.hstack([vecs, levels[k]])
-        for _ in range(2):
-            w -= below @ (below.conj().T @ w)
-        q = np.linalg.qr(w[:, :carried])[0]
-        cand = w[:, carried:]
-        for _ in range(2):
-            cand -= q @ (q.conj().T @ cand)
-        want = dims[k] - dims[k - 1] - carried
+        d_k, carried = new[k - 1], vecs.shape[1]
+        q = np.linalg.qr(d_k.conj().T @ vecs)[0]
+        cand = np.eye(d_k.shape[1], dtype=dtype) - q @ q.conj().T
+        want = d_k.shape[1] - carried
         scale = float(np.abs(cand).max(initial=0.0))
         perm, info = _echelon(cand.copy(), tol / scale if scale > 0 else tol)
         if want < 0 or info.rank != want or info.gap < GAP_FACTOR:
@@ -201,7 +206,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
                 f"retained pivot {info.smallest_kept:.3e} vs discarded "
                 f"{info.largest_dropped:.3e}"
             )
-        tops = cand[:, perm[:want]]
+        tops = d_k @ cand[:, perm[:want]]
         vecs = np.hstack([vecs, tops / np.linalg.norm(tops, axis=0)])
         members.append(vecs)
         top_infos.append(info)
@@ -284,11 +289,13 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     than the working cluster radius; each run is a cluster with its mean
     as centre and its length as algebraic multiplicity, which must equal
     the rank of the run's eigenvectors by our complete-pivot elimination
-    at ``tol``.  Numeric violations raise :class:`ReportedViolation`.
+    at ``tol``.  Numeric violations raise :class:`ReportedViolation`; a
+    ``cluster_tol`` that is not positive and finite raises ``ValueError``.
     """
     if not isinstance(network, Network):
         raise TypeError("network_spectrum_check needs a Network, "
                         f"got {type(network).__name__}")
+    _check_cluster_tol(cluster_tol)
     ch = from_network(network)
     p_int = ch.p_int
     _, m = conductances(network)

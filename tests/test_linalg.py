@@ -602,6 +602,15 @@ def test_eigenvalues_rejects_non_square():
         eigenvalues(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("a", [np.diag([0.1, 0.2, 0.2]), np.zeros((0, 0))])
+def test_eigenvalues_refuse_a_cluster_tol_not_positive_and_finite(a, tol):
+    """NaN merged nothing (0.2 came back twice with radius NaN) and
+    infinity merged everything into one eigenvalue."""
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        eigenvalues(a, cluster_tol=tol)
+
+
 def test_eigenvalues_accurate_on_random_chains():
     # every returned z is an eigenvalue by an oracle apart from eig: the
     # smallest singular value of zI - P_int vanishes

@@ -293,6 +293,14 @@ def _path_network(n):
     return build_network(edges, ["p0", f"p{n - 1}"])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_network_check_refuses_a_cluster_tol_not_positive_and_finite(tol):
+    """With NaN the unit path of 7 vertices was certified as one
+    eigenvalue 0 of multiplicity 5; its spectrum is +-0.866, +-0.5 and 0."""
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        network_spectrum_check(_path_network(7), cluster_tol=tol)
+
+
 def _cornerless_grid_network(m):
     corners = {(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1)}
     cells = {(i, j) for i in range(m) for j in range(m)} - corners
@@ -398,7 +406,7 @@ def _lazy_forward_path(k):
     return build_chain(names, names[:k], ["w"], trans)
 
 
-@pytest.mark.parametrize("k", [5, 20, 60])
+@pytest.mark.parametrize("k", [5, 20, 60, 120])
 def test_lazy_forward_path_is_one_jordan_block(k):
     c = _lazy_forward_path(k)
     jb = jordan_basis(c, 0.5)
@@ -519,6 +527,35 @@ def test_jordan_basis_keeps_its_rank_evidence(forward_path):
             sum(min(k, n) for n in jb.chain_lengths) for k in levels]
         assert [info.rank for info in jb.top_infos] == [
             jb.chain_lengths.count(k) for k in levels]
+
+
+def test_jordan_levels_eliminate_only_their_deflated_blocks(monkeypatch, forward_path):
+    """On the forward path and at interior 63: level k's kernel
+    elimination is square with side m - dim N_{k-1}, and its tops
+    elimination, deepest level first, is square with side
+    dim N_k - dim N_{k-1}, the level's new directions.  No elimination
+    sees the whole m x m block after the first level."""
+    kernel_shapes, top_shapes = [], []
+    real_null, real_echelon = spectral.nullspace_info, spectral._echelon
+
+    def null_recording(a, tol):
+        kernel_shapes.append(np.shape(a))
+        return real_null(a, tol)
+
+    def echelon_recording(m, tol):
+        top_shapes.append(m.shape)
+        return real_echelon(m, tol)
+
+    monkeypatch.setattr(spectral, "nullspace_info", null_recording)
+    monkeypatch.setattr(spectral, "_echelon", echelon_recording)
+    for c in (forward_path, _binary_section(6, np.random.default_rng(6))):
+        kernel_shapes.clear()
+        top_shapes.clear()
+        jb = jordan_basis(c, 0.0)
+        m, depth = len(c.interior), max(jb.chain_lengths)
+        dims = [sum(min(k, n) for n in jb.chain_lengths) for k in range(depth + 1)]
+        assert kernel_shapes == [(m - dims[k - 1],) * 2 for k in range(1, depth + 1)]
+        assert top_shapes == [(dims[k] - dims[k - 1],) * 2 for k in range(depth, 0, -1)]
 
 
 def _grid_network(m, rng=None):
@@ -714,18 +751,21 @@ def test_jordan_refuses_an_ambiguous_choice_of_tops(monkeypatch, forward_path):
         jordan_basis(forward_path, 0.0)
 
 
-def test_jordan_refuses_more_chains_than_new_kernel_vectors(monkeypatch, forward_path):
-    """A first kernel found empty leaves the two chains of N_2 nowhere to
-    go at level 1: a negative number of tops is wanted."""
+def test_jordan_refuses_more_chains_than_new_kernel_vectors(monkeypatch):
+    """One Jordan block of size 3 whose second deflated block, 2 x 2,
+    is reported wholly singular: level 2 then has two new directions
+    against one at level 1, and the total still reaches the multiplicity
+    3.  The two chains started at level 2 have nowhere to go at level 1:
+    a negative number of tops is wanted."""
     real = spectral.nullspace_info
 
-    def lose_the_eigenvector(a, tol):
+    def widen_the_second_kernel(a, tol):
         basis, info = real(a, tol)
-        return (basis if len(basis) == 2 else []), info
+        return (list(np.eye(2)) if len(a) == 2 else basis), info
 
-    monkeypatch.setattr(spectral, "nullspace_info", lose_the_eigenvector)
-    with pytest.raises(IllConditioned, match="could not separate -2 chain tops at level 1"):
-        jordan_basis(forward_path, 0.0)
+    monkeypatch.setattr(spectral, "nullspace_info", widen_the_second_kernel)
+    with pytest.raises(IllConditioned, match="could not separate -1 chain tops at level 1"):
+        jordan_basis(_lazy_forward_path(3), 0.5)
 
 
 def test_global_basis_refuses_a_vector_not_annihilated(monkeypatch, forward_path):
