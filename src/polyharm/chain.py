@@ -51,7 +51,11 @@ class Chain:
     the write flag cleared so instances can be shared freely.  The
     mutable slot ``_green`` is written only by :func:`polyharm.bvp.green`:
     it keeps the chain's latest LU of lam I - P_int, with F and G once
-    formed.  ``_nth`` is written only by :func:`nth_layout`.
+    formed.  ``_spectrum`` is written only by
+    :func:`polyharm.spectral.interior_spectrum`: it keeps the chain's
+    latest interior spectrum, keyed by ``cluster_tol``, one entry at
+    most and never a refused one.  ``_nth`` is written only by
+    :func:`nth_layout`.  Nothing kept refers back to the chain.
 
     Attributes
     ----------
@@ -82,6 +86,8 @@ class Chain:
     dist: tuple[int, ...] = field(repr=False)
     # complex(lam) -> (LU, formed F and G) of the latest green(); one entry at most
     _green: dict = field(default_factory=dict, init=False, repr=False)
+    # cluster_tol -> InteriorSpectrum of the latest interior_spectrum(); one entry at most
+    _spectrum: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:

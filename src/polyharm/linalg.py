@@ -20,7 +20,9 @@ input real: float64 elimination and a float64 kernel basis, and
 Eigenvalues carry no such meaning and come from LAPACK
 (``numpy.linalg.eig``, Hessenberg QR, backward stable); this module only
 checks every eigenpair's residual and clusters the values into
-multiplicities.  Sizes are desk scale (a few hundred at most).
+multiplicities, by single linkage in numpy: the connected components of
+the boolean matrix |z_i - z_j| <= radius, each merged to its mean.
+Sizes are desk scale (a few hundred at most).
 """
 
 from __future__ import annotations
@@ -345,11 +347,16 @@ class Spectrum:
         tol = self.cluster_tol if tol is None else tol
         if not self.eigenvalues:
             return 0
-        z = self.nearest(lam)
-        return self.alg_mult[self.eigenvalues.index(z)] if abs(z - lam) <= tol else 0
+        i = self._nearest(lam)
+        return self.alg_mult[i] if abs(self.eigenvalues[i] - lam) <= tol else 0
 
     def nearest(self, lam: complex) -> complex:
-        return min(self.eigenvalues, key=lambda z: abs(z - lam))
+        return self.eigenvalues[self._nearest(lam)]
+
+    def _nearest(self, lam: complex) -> int:
+        """Index of the eigenvalue nearest ``lam`` (the first on a tie)."""
+        z = self.eigenvalues
+        return min(range(len(z)), key=lambda i: abs(z[i] - lam))
 
 
 def _check_cluster_tol(cluster_tol: float) -> None:
@@ -366,30 +373,36 @@ def _working_radius(values: np.ndarray, cluster_tol: float) -> float:
 
 
 def _cluster(roots: np.ndarray, tol: float) -> tuple[list[complex], list[int]]:
-    """Single-linkage clustering at ``tol``, iterated on the centres so
-    the returned eigenvalues are pairwise separated by more than tol."""
-    centers = [complex(z) for z in roots]
-    mults = [1] * len(centers)
-    changed = True
-    while changed:
-        changed = False
-        merged_c: list[complex] = []
-        merged_m: list[int] = []
-        for z, m in zip(centers, mults):
-            hit = next(
-                (i for i, c in enumerate(merged_c) if abs(c - z) <= tol), None
-            )
-            if hit is None:
-                merged_c.append(z)
-                merged_m.append(m)
-            else:
-                tot = merged_m[hit] + m
-                merged_c[hit] = (merged_c[hit] * merged_m[hit] + z * m) / tot
-                merged_m[hit] = tot
-                changed = True
-        centers, mults = merged_c, merged_m
-    order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
-    return [centers[i] for i in order], [mults[i] for i in order]
+    """Single-linkage clustering at ``tol``, sorted by (real, imag).
+
+    The values within ``tol`` of each other are joined; each connected
+    component of that graph (found by sweeps in which every value takes
+    the label of the smallest label among its neighbours, until no label
+    changes) is merged to its multiplicity-weighted mean.  The same is
+    repeated on the centres until they are pairwise separated by more
+    than ``tol``.
+    """
+    centers = np.asarray(roots, dtype=complex)
+    mults = np.ones(len(centers), dtype=int)
+    while True:
+        near = np.abs(centers[:, None] - centers[None, :]) <= tol
+        k = len(centers)
+        if np.count_nonzero(near) == k:  # only the diagonal
+            break
+        labels = idx = np.arange(k)
+        while True:
+            new = labels[np.where(near, labels, k).min(axis=1)]
+            if (new == labels).all():
+                break
+            labels = new
+        first = labels == idx  # each component is labelled by its smallest index
+        weighted = centers * mults
+        mults = np.bincount(labels, mults, k)[first].astype(int)
+        centers = (np.bincount(labels, weighted.real, k)
+                   + 1j * np.bincount(labels, weighted.imag, k))[first] / mults
+    z, m = centers.tolist(), mults.tolist()
+    order = sorted(range(len(z)), key=lambda i: (z[i].real, z[i].imag))
+    return [z[i] for i in order], [m[i] for i in order]
 
 
 def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
@@ -398,7 +411,13 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     LAPACK computes the eigenpairs; each pair must satisfy
     |Av - zv|_inf <= EIG_RTOL * |A|_inf * |v|_inf, and a failed pair or a
     LAPACK failure raises :class:`NoConvergence`.  The values are then
-    clustered.
+    clustered by single linkage at the working radius, in numpy: the
+    boolean matrix |z_i - z_j| <= radius (at most ``MAX_EIG_DIM`` squared
+    entries), its connected components by label sweeps, each component
+    merged to its multiplicity-weighted mean, and the same again on the
+    centres while any two are within the radius.  The result does not
+    depend on the order LAPACK lists the values in, and is sorted by
+    (real, imag).
 
     An eigenvalue of multiplicity m in a Jordan block of size m splits by
     roughly eps**(1/m) in floating point, so the working cluster radius

@@ -45,14 +45,24 @@ def interior_spectrum(chain: Chain, cluster_tol: float = CLUSTER_TOL) -> Interio
     On a valid absorbing chain the spectral radius is strictly below 1;
     a violation indicates numeric trouble and raises
     :class:`SpectralRadiusViolation`.
+
+    The chain keeps its latest spectrum: a second call with the same
+    chain and ``cluster_tol`` computes nothing and returns the same
+    object.  A new ``cluster_tol`` replaces the kept one.  A refused
+    spectrum is never kept, so the next call computes it again.
     """
-    spec = eigenvalues(chain.p_int, cluster_tol=cluster_tol)
-    rho = spec.rho
-    if rho >= 1.0 - RHO_MARGIN:
-        raise SpectralRadiusViolation(
-            f"interior spectral radius {rho!r} is not strictly below 1"
-        )
-    return InteriorSpectrum(spectrum=spec, rho=rho)
+    kept = chain._spectrum.get(cluster_tol)
+    if kept is None:
+        spec = eigenvalues(chain.p_int, cluster_tol=cluster_tol)
+        rho = spec.rho
+        if rho >= 1.0 - RHO_MARGIN:
+            raise SpectralRadiusViolation(
+                f"interior spectral radius {rho!r} is not strictly below 1"
+            )
+        kept = InteriorSpectrum(spectrum=spec, rho=rho)
+        chain._spectrum.clear()
+        chain._spectrum[cluster_tol] = kept
+    return kept
 
 
 @dataclass(eq=False)
@@ -137,15 +147,15 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
         A rank decision has retained/discarded pivots closer than a
         factor of ``GAP_FACTOR``, or level dimensions are inconsistent.
     """
-    ispec = interior_spectrum(chain, cluster_tol=cluster_tol)
-    spec = ispec.spectrum
-    nearest = spec.nearest(lam)
+    spec = interior_spectrum(chain, cluster_tol=cluster_tol).spectrum
+    i = spec._nearest(lam)
+    nearest = spec.eigenvalues[i]
     if abs(nearest - lam) > spec.cluster_tol:
         raise NotAnEigenvalue(
             f"{lam} is not within {spec.cluster_tol} of the computed spectrum "
             f"{[complex(z) for z in spec.eigenvalues]}"
         )
-    kappa = spec.mult_of(nearest)
+    kappa = spec.alg_mult[i]
     # P is real, so at a real eigenvalue every matrix below is real
     lam0 = nearest.real if nearest.imag == 0 else nearest
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyharm
@@ -141,6 +142,31 @@ def test_bench_spectral_eliminations_are_real_at_real_eigenvalues(tmp_path, monk
     for name, kinds in jordan.items():
         want = "complex128" if name.startswith(("dense35", "dense56")) else "float64"
         assert kinds == {want}, (name, kinds)
+
+
+def test_bench_spectral_rounds_keep_each_chains_spectrum(tmp_path, monkeypatch):
+    """The first ``spectral`` round computes one spectrum per tree or
+    dense chain (six, each one ``np.linalg.eig`` call); the second, on the
+    same chains, computes none."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    wl = workloads.spectral(polyharm, 7, tmp_path)
+    eig, calls = np.linalg.eig, [0]
+
+    def counting(m):
+        calls[0] += 1
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    per_round = []
+    for _ in range(2):
+        calls[0] = 0
+        for op in wl.round:
+            assert op.check(op.run()) == [], op.name
+        per_round.append(calls[0])
+    assert per_round == [6, 0]
 
 
 def _per_riquier_round(tmp_path, monkeypatch, calls):

@@ -623,6 +623,131 @@ def test_eigenvalues_accurate_on_random_chains():
             assert smin <= 1e-10, (n, z, smin)
 
 
+# ------------------------------------------------- clustering reference
+
+def _reference_cluster(roots, tol):
+    """The Python clustering that preceded the numpy one, kept verbatim
+    as the reference: each value joins the first running mean within
+    ``tol``, repeated until nothing merges."""
+    centers = [complex(z) for z in roots]
+    mults = [1] * len(centers)
+    changed = True
+    while changed:
+        changed = False
+        merged_c: list[complex] = []
+        merged_m: list[int] = []
+        for z, m in zip(centers, mults):
+            hit = next(
+                (i for i, c in enumerate(merged_c) if abs(c - z) <= tol), None
+            )
+            if hit is None:
+                merged_c.append(z)
+                merged_m.append(m)
+            else:
+                tot = merged_m[hit] + m
+                merged_c[hit] = (merged_c[hit] * merged_m[hit] + z * m) / tot
+                merged_m[hit] = tot
+                changed = True
+        centers, mults = merged_c, merged_m
+    order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
+    return [centers[i] for i in order], [mults[i] for i in order]
+
+
+def _spectrum_and_reference(a, cluster_tol, monkeypatch):
+    """``eigenvalues(a)``, the working radius computed here from the very
+    values LAPACK gave it, and their reference clustering at that radius."""
+    eig, seen = np.linalg.eig, []
+
+    def recording(m):
+        out = eig(m)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    spec = eigenvalues(a, cluster_tol=cluster_tol)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    (roots,) = seen
+    radius = max(cluster_tol, 32 * np.sqrt(np.finfo(float).eps) * (1 + np.abs(roots).max()))
+    return spec, radius, _reference_cluster(roots, radius)
+
+
+def _lazy_forward_block(k):
+    """One Jordan block of size k at 1/2: (I + N) / 2."""
+    return 0.5 * (np.eye(k) + np.eye(k, k=1))
+
+
+_SPLIT_BLOCKS = [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-8),
+    (np.array([[2 + 1j, 1, 0], [0, 2 + 1j, 1], [0, 0, 2 + 1j]]), 1e-4),
+    (_lazy_forward_block(5), 1e-2),
+    (_lazy_forward_block(20), 0.2),
+]
+
+
+def _assert_clusters_as_reference(a, cluster_tol, monkeypatch):
+    spec, radius, (centres, mults) = _spectrum_and_reference(a, cluster_tol, monkeypatch)
+    assert spec.radius == radius
+    assert spec.alg_mult == tuple(mults)
+    assert max(abs(z - c) for z, c in zip(spec.eigenvalues, centres)) <= 1e-12
+    # the returned centres are pairwise farther apart than the radius
+    z = np.array(spec.eigenvalues)
+    gaps = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
+    assert gaps.min(initial=np.inf) > spec.radius
+    assert sum(spec.alg_mult) == len(a)
+
+
+@pytest.mark.parametrize("size", [4, 5, 6, 8, 11, 16, 23, 35, 60, 100, 160, 250, 400])
+def test_clustering_matches_the_reference_on_random_chains(size, monkeypatch):
+    a = random_chain(np.random.default_rng(0), size=size).p_int
+    _assert_clusters_as_reference(a, 1e-8, monkeypatch)
+
+
+@pytest.mark.parametrize("a, cluster_tol", _SPLIT_BLOCKS)
+def test_clustering_matches_the_reference_on_split_jordan_blocks(a, cluster_tol, monkeypatch):
+    _assert_clusters_as_reference(a, cluster_tol, monkeypatch)
+    assert len(eigenvalues(a, cluster_tol=cluster_tol).alg_mult) == 1
+
+
+def test_clustering_does_not_depend_on_the_order_of_the_values():
+    """Three values 0.9 apart at radius 1 are one chain of neighbours.
+    The reference answers by listing order: {0, 0.9} and {1.8} in one
+    order, {0} and {0.9, 1.8} in the other.  Single linkage merges all
+    three, in either order, so 0.9 is never split from a neighbour within
+    the radius."""
+    pts = np.array([0.0, 0.9, 1.8], dtype=complex)
+    assert _reference_cluster(pts, 1.0) == ([0.45, 1.8], [2, 1])
+    assert _reference_cluster(pts[::-1], 1.0) == ([0.0, 1.35], [1, 2])
+    for order in (pts, pts[::-1], pts[[1, 0, 2]]):
+        assert linalg._cluster(order, 1.0) == ([0.9 + 0j], [3])
+
+
+def test_clustering_merges_centres_within_the_radius_again():
+    """A ring of 16 values at distance 2 from 0 is one component at
+    radius 1 and 0 is another, but the ring's centre is 0: the second
+    pass merges both."""
+    ring = 2 * np.exp(2j * np.pi * np.arange(16) / 16)
+    centres, mults = linalg._cluster(np.append(ring, 0), 1.0)
+    assert mults == [17] and abs(centres[0]) <= 1e-15
+
+
+def test_clustering_real_values_splits_them_at_gaps_wider_than_the_radius():
+    """On real values single linkage is the network check's rule: the
+    sorted values split at every gap wider than the radius, each run one
+    cluster with its mean as centre and its length as multiplicity."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        # exact repeats when the jitter is 0
+        w = np.round(rng.random(n), 1) + rng.choice([0.0, 1e-3]) * rng.standard_normal(n)
+        tol = float(rng.choice([1e-9, 0.05, 0.1, 0.25]))
+        centres, mults = linalg._cluster(w, tol)
+        s = np.sort(w)
+        runs = np.split(s, np.flatnonzero(np.diff(s) > tol) + 1)
+        assert mults == [len(r) for r in runs]
+        assert np.abs(np.array(centres) - [r.mean() for r in runs]).max() <= 1e-15
+        assert all(z.imag == 0 for z in centres)
+
+
 # ------------------------------------------------- real times complex
 
 def _real_matmul_operands():

@@ -17,7 +17,8 @@ from polyharm import (
     nullspace,
     restrict_to_section,
 )
-from polyharm.errors import IllConditioned, NotAnEigenvalue, ReportedViolation
+from polyharm.errors import (IllConditioned, NoConvergence, NotAnEigenvalue,
+                             ReportedViolation, SpectralRadiusViolation)
 
 from conftest import random_chain, random_section, random_tree, span_projector
 
@@ -42,6 +43,66 @@ def test_rho_below_one_random():
         c = random_chain(rng)
         out = interior_spectrum(c)
         assert out.rho < 1.0 - 1e-10
+
+
+# ------------------------------------------------------ kept spectrum
+
+def _count_eig(monkeypatch, fail_once=False):
+    """Count ``np.linalg.eig`` calls; with ``fail_once`` the first raises
+    LAPACK's ``LinAlgError``."""
+    eig, calls = np.linalg.eig, [0]
+
+    def counting(m):
+        calls[0] += 1
+        if fail_once and calls[0] == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def test_one_eigenvalue_call_per_chain(monkeypatch, p4):
+    """Every spectral consumer reads the chain's kept spectrum; a new
+    ``cluster_tol`` computes one more and replaces the kept one."""
+    calls = _count_eig(monkeypatch)
+    first = interior_spectrum(p4)
+    jordan_basis(p4, 0.5)
+    jordan_basis(p4, -0.5)
+    global_polyharmonic_basis(p4, 0.5, 2)
+    assert calls[0] == 1
+    assert interior_spectrum(p4) is first
+    coarse = interior_spectrum(p4, cluster_tol=1e-6)
+    assert calls[0] == 2 and list(p4._spectrum) == [1e-6]
+    assert coarse.spectrum.eigenvalues == first.spectrum.eigenvalues
+    jordan_basis(p4, 0.5)
+    assert calls[0] == 3 and len(p4._spectrum) == 1
+
+
+def test_a_spectrum_refused_for_no_convergence_is_not_kept(monkeypatch, p4):
+    calls = _count_eig(monkeypatch, fail_once=True)
+    with pytest.raises(NoConvergence, match="LAPACK"):
+        interior_spectrum(p4)
+    assert p4._spectrum == {}
+    spec = interior_spectrum(p4).spectrum
+    assert calls[0] == 2 and spec.alg_mult == (1, 1)
+    assert list(p4._spectrum) == [spec.cluster_tol]
+
+
+def test_a_spectrum_refused_for_its_radius_is_not_kept(monkeypatch, p4):
+    real, calls = spectral.eigenvalues, [0]
+
+    def unit_radius_once(a, cluster_tol):
+        calls[0] += 1
+        spec = real(a, cluster_tol=cluster_tol)
+        return replace(spec, eigenvalues=(-1 + 0j, 1 + 0j)) if calls[0] == 1 else spec
+
+    monkeypatch.setattr(spectral, "eigenvalues", unit_radius_once)
+    with pytest.raises(SpectralRadiusViolation, match="not strictly below 1"):
+        jordan_basis(p4, 0.5)
+    assert p4._spectrum == {}
+    assert interior_spectrum(p4).rho == pytest.approx(0.5, abs=1e-10)
+    assert jordan_basis(p4, 0.5).alg_mult == 1 and calls[0] == 2
 
 
 # ---------------------------------------------------------------- jordan
