@@ -330,10 +330,14 @@ def conductances(network: Network) -> tuple[dict[tuple[str, str], float], dict[s
         cond[(u, v)] = cond.get((u, v), 0.0) + a
         if u != v:
             cond[(v, u)] = cond.get((v, u), 0.0) + a
+    return cond, _vertex_weights(cond)
+
+
+def _vertex_weights(cond: dict[tuple[str, str], float]) -> dict[str, float]:
     m: dict[str, float] = {}
     for (u, _), a in cond.items():
         m[u] = m.get(u, 0.0) + a
-    return cond, m
+    return m
 
 
 def from_network(network: Network) -> Chain:
@@ -344,7 +348,12 @@ def from_network(network: Network) -> Chain:
     absorbing.  The result is reversible on the interior:
     m(x) p(x,y) = m(y) p(y,x).
     """
-    cond, m = conductances(network)
+    return _network_chain(network, conductances(network)[0])
+
+
+def _network_chain(network: Network, cond: dict[tuple[str, str], float]) -> Chain:
+    """:func:`from_network` from the network's conductance table."""
+    m = _vertex_weights(cond)
     vertices = sorted(set(network.boundary) | set(m))
     index = {v: i for i, v in enumerate(vertices)}
     boundary_ids = set(network.boundary)

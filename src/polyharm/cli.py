@@ -24,12 +24,12 @@ from .chain import boundary_distance
 from .errors import PolyharmError
 from .formats import (
     FormatError,
+    chain_from_doc,
     chain_to_doc,
     jsonable,
-    load_chain,
-    load_tree,
     load_vector,
     parse_complex,
+    tree_from_doc,
 )
 from .linalg import CLUSTER_TOL, PIVOT_RTOL
 
@@ -60,11 +60,6 @@ def _positive(text: str) -> float:
     return x
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 class Report:
     def __init__(self, argv):
         self.doc = {
@@ -78,8 +73,13 @@ class Report:
         }
         self._t0 = time.perf_counter()
 
-    def digest(self, path):
-        self.doc["input_digest"] = _digest(path)
+    def load(self, path: str, parse):
+        """``parse(doc, path)`` of the JSON input file at ``path``, whose
+        bytes are read once for both the parse and the digest."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.doc["input_digest"] = hashlib.sha256(data).hexdigest()
+        return parse(json.loads(data), path)
 
     def result(self, key, value):
         self.doc["results"][key] = value
@@ -139,8 +139,7 @@ def _vector_result(chain, values) -> dict:
 # ------------------------------------------------------------ subcommands
 
 def cmd_validate(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     rep.result("vertices", len(chain.vertices))
     rep.result("interior", list(chain.interior_ids))
     rep.result("boundary", list(chain.boundary_ids))
@@ -153,8 +152,7 @@ def cmd_validate(args, rep: Report) -> None:
 
 
 def cmd_spectrum(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     rep.tolerance("cluster_tol", args.cluster_tol)
     try:
         ispec = spectral.interior_spectrum(chain, cluster_tol=args.cluster_tol)
@@ -179,8 +177,7 @@ def _solution_report(rep: Report, sol) -> None:
 
 
 def cmd_dirichlet(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     lam = _scalar(args.lam, "--lambda")
     g = load_vector(args.g)
     try:
@@ -193,8 +190,7 @@ def cmd_dirichlet(args, rep: Report) -> None:
 
 
 def cmd_riquier(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     lam = _scalar(args.lam, "--lambda")
     gs = [load_vector(p) for p in args.g]
     try:
@@ -210,8 +206,7 @@ def cmd_riquier(args, rep: Report) -> None:
 
 
 def cmd_global_basis(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     lam = _scalar(args.lam, "--lambda")
     rep.tolerance("cluster_tol", CLUSTER_TOL)
     try:
@@ -230,8 +225,7 @@ def cmd_global_basis(args, rep: Report) -> None:
 
 
 def cmd_martin(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     lam = _scalar(args.lam, "--lambda")
     try:
         mk = martin.martin_kernel(chain, lam, args.origin, n=args.order)
@@ -252,11 +246,10 @@ def cmd_martin(args, rep: Report) -> None:
 
 
 def cmd_simulate(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     cfg = simulate.SimConfig(trials=args.trials, seed=args.seed,
                              max_steps=args.max_steps, start=args.start)
-    est = simulate.simulate_hitting(chain, cfg, shards=args.shards)
+    est = simulate.simulate_hitting(chain, cfg)
     rep.result("counts", {w: int(c) for w, c in zip(chain.boundary_ids, est.counts)})
     rep.result("hit_fraction", {w: float(p) for w, p
                                 in zip(chain.boundary_ids, est.hit_fraction)})
@@ -290,8 +283,7 @@ def cmd_simulate(args, rep: Report) -> None:
 
 
 def cmd_check_derivative(args, rep: Report) -> None:
-    chain = load_chain(args.chain)
-    rep.digest(args.chain)
+    chain = rep.load(args.chain, chain_from_doc)
     lam = _scalar(args.lam, "--lambda")
     h = args.h if args.h is not None else 1e-4 * (1 + abs(lam))
     rep.tolerance("step", h)
@@ -313,8 +305,7 @@ def _need(args, *names):
 
 
 def cmd_tree(args, rep: Report) -> None:
-    tree, stored_section = load_tree(args.tree)
-    rep.digest(args.tree)
+    tree, stored_section = rep.load(args.tree, tree_from_doc)
     section = args.section.split(",") if args.section else stored_section
     lam = _scalar(args.lam, "--lambda")
 
@@ -446,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--compare", action="store_true",
                    help="compare against the analytic hitting matrix")
     p.add_argument("--compare-lambda", default="1",

@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .chain import Chain, Network, build_chain, build_network
+from .chain import Chain, Network, build_chain, build_network, from_network
 from .tree import ForwardTree, build_tree
 
 
@@ -106,6 +106,13 @@ def _bad_edge(path: str, i: int, e, key: str | None = None) -> FormatError:
 
 
 def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
+    """A chain from its parsed JSON document; network documents (edges
+    carrying ``a``) are converted through their random-walk chain."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be an object")
+    edges = doc.get("edges")
+    if isinstance(edges, list) and edges and isinstance(edges[0], dict) and "a" in edges[0]:
+        return from_network(network_from_doc(doc, path))
     vertices = [str(v) for v in _list(doc, "vertices", path)]
     boundary_set = {str(w) for w in _list(doc, "boundary", path)}
     index = {v: i for i, v in enumerate(vertices)}
@@ -149,18 +156,9 @@ def network_from_doc(doc: Mapping, path: str = "network") -> Network:
 
 
 def load_chain(path: str) -> Chain:
-    """Load a chain JSON file; network documents (edges carrying ``a``)
-    are converted through their random-walk chain."""
-    from .chain import from_network
-
+    """Load a chain (or network) JSON file, see :func:`chain_from_doc`."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be an object")
-    edges = doc.get("edges")
-    if isinstance(edges, list) and edges and isinstance(edges[0], dict) and "a" in edges[0]:
-        return from_network(network_from_doc(doc, path))
-    return chain_from_doc(doc, path)
+        return chain_from_doc(json.load(fh), path)
 
 
 def chain_to_doc(chain: Chain) -> dict:
@@ -180,6 +178,8 @@ def chain_to_doc(chain: Chain) -> dict:
 
 
 def tree_from_doc(doc: Mapping, path: str = "tree") -> tuple[ForwardTree, list[str] | None]:
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be an object")
     children = _require(doc, "children", path)
     if not isinstance(children, dict):
         raise FormatError(f"{path}: 'children' must be an object")
@@ -201,10 +201,7 @@ def tree_from_doc(doc: Mapping, path: str = "tree") -> tuple[ForwardTree, list[s
 
 def load_tree(path: str) -> tuple[ForwardTree, list[str] | None]:
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be an object")
-    return tree_from_doc(doc, path)
+        return tree_from_doc(json.load(fh), path)
 
 
 def tree_to_doc(tree: ForwardTree, section=None) -> dict:

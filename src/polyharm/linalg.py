@@ -361,8 +361,9 @@ class Spectrum:
 
 def _check_cluster_tol(cluster_tol: float) -> None:
     """Refuse a ``cluster_tol`` that is not positive and finite: NaN
-    would merge nothing and infinity everything."""
-    if not 0.0 < cluster_tol < np.inf:
+    would merge nothing and infinity everything.  A ``bool`` is refused
+    too, although ``True`` compares (and hashes) equal to 1.0."""
+    if isinstance(cluster_tol, (bool, np.bool_)) or not 0.0 < cluster_tol < np.inf:
         raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
 
 

@@ -3,9 +3,8 @@
 Trajectories run under the chain's transition matrix until absorption
 (or a step cap).  The uniform variate consumed by trial t at step k is
 the value at counter offset (k-1)*trials + t of a Philox stream keyed by
-the seed, so every trial owns a fixed, scheduler-independent substream:
-results are bit-identical no matter how trials are sharded across
-workers.  Merging shard results is plain addition of counts.
+the seed, so every trial owns a fixed substream: a trial's path depends
+only on the seed, its own id and the chain.  All trials run as one walk.
 
 A step costs time and memory in proportion to the trials still walking,
 not to trials x vertices: the next vertex is found by bisection in a
@@ -97,8 +96,8 @@ class HittingEstimate:
 
 
 class _Stream:
-    """The seed's Philox stream, one generator per shard: each draw
-    restores the initial state and advances to the requested counter."""
+    """The seed's Philox stream: each draw restores the initial state and
+    advances to the requested counter."""
 
     def __init__(self, seed: int):
         self._bitgen = np.random.Philox(key=seed)
@@ -153,18 +152,20 @@ def _next_vertex(vals: np.ndarray, targets: np.ndarray, pos: np.ndarray,
     return targets.ravel()[k]
 
 
-def _run_shard(chain: Chain, config: SimConfig, table: tuple[np.ndarray, np.ndarray],
-               lo: int, hi: int):
+def _walk(chain: Chain, config: SimConfig):
+    """Walk every trial until absorption or ``max_steps``; the absorption
+    counts, the censored count and the per-step occupancy rows."""
     n = chain.n
     nb = len(chain.boundary)
     boundary = list(chain.boundary)
     boundary_col = np.full(n, -1, dtype=np.int64)
     boundary_col[boundary] = np.arange(nb)
+    table = _support_table(chain.trans)
     stream = _Stream(config.seed)
 
-    # the live set: ascending shard-local trial ids and their positions
-    ids = np.arange(hi - lo)
-    pos = np.full(hi - lo, chain.vertex_index(config.start), dtype=np.int64)
+    # the live set: ascending trial ids and their positions
+    ids = np.arange(config.trials)
+    pos = np.full(config.trials, chain.vertex_index(config.start), dtype=np.int64)
     # counts[j] is also the number of absorbed trials sitting at boundary j
     counts = np.zeros(nb, dtype=np.int64)
     occupancy_rows = [np.bincount(pos, minlength=n)]
@@ -173,7 +174,7 @@ def _run_shard(chain: Chain, config: SimConfig, table: tuple[np.ndarray, np.ndar
     while ids.size and step < config.max_steps:
         step += 1
         first = int(ids[0])
-        u = stream.uniforms((step - 1) * config.trials + lo + first, ids - first)
+        u = stream.uniforms((step - 1) * config.trials + first, ids - first)
         pos = _next_vertex(*table, pos, u)
         col = boundary_col[pos]
         hit = col >= 0
@@ -194,11 +195,10 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
     ``config.start`` and tally absorption vertex, absorption time and
     per-step occupancy.
 
-    ``shards`` only partitions the work; results are identical for any
-    value because every trial consumes its own counter-indexed substream.
-    The shards run one after another in this process, not in parallel,
-    so more shards only add per-shard overhead.  More shards than trials
-    are not made: every shard holds a trial.
+    All trials run as one walk.  ``shards`` changes nothing: every trial
+    consumes its own counter-indexed substream, so no split of the trials
+    could change a result.  It is kept for existing callers and must be
+    at least 1.
     Trajectories still alive after ``max_steps`` are counted as censored
     (exponentially rare on a valid chain).
     """
@@ -207,34 +207,16 @@ def simulate_hitting(chain: Chain, config: SimConfig, shards: int = 1) -> Hittin
         raise ValueError(f"start vertex {config.start!r} must be interior")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    shards = min(shards, config.trials)
 
-    table = _support_table(chain.trans)
-    bounds = np.linspace(0, config.trials, shards + 1).astype(int)
-    total_counts = np.zeros(len(chain.boundary), dtype=np.int64)
-    total_censored = 0
-    occ_parts: list[np.ndarray] = []
-    for s in range(shards):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        counts, censored, occ = _run_shard(chain, config, table, lo, hi)
-        total_counts += counts
-        total_censored += censored
-        occ_parts.append(occ)
-
-    o_max = max(p.shape[0] for p in occ_parts)
-    occupancy = np.zeros((o_max, chain.n), dtype=np.int64)
-    for p in occ_parts:
-        occupancy[: p.shape[0]] += p
-        if p.shape[0] < o_max:  # absorbed shards stay where they ended
-            occupancy[p.shape[0]:] += p[-1]
+    counts, censored, occupancy = _walk(chain, config)
     # absorbed trials sit on the boundary: its occupancy grows by the new hits
     first_visit = np.diff(occupancy[:, list(chain.boundary)], axis=0, prepend=0)
 
     return HittingEstimate(
         chain=chain,
         config=config,
-        counts=total_counts,
-        censored=total_censored,
+        counts=counts,
+        censored=censored,
         first_visit=first_visit,
         occupancy=occupancy,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import _delta_power
-from .chain import Chain, Network, conductances, from_network
+from .chain import Chain, Network, _network_chain, conductances
 from .errors import (
     IllConditioned,
     NotAnEigenvalue,
@@ -49,8 +49,10 @@ def interior_spectrum(chain: Chain, cluster_tol: float = CLUSTER_TOL) -> Interio
     The chain keeps its latest spectrum: a second call with the same
     chain and ``cluster_tol`` computes nothing and returns the same
     object.  A new ``cluster_tol`` replaces the kept one.  A refused
-    spectrum is never kept, so the next call computes it again.
+    spectrum is never kept, so the next call computes it again.  A
+    ``cluster_tol`` that is not positive and finite raises ``ValueError``.
     """
+    _check_cluster_tol(cluster_tol)
     kept = chain._spectrum.get(cluster_tol)
     if kept is None:
         spec = eigenvalues(chain.p_int, cluster_tol=cluster_tol)
@@ -306,9 +308,9 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         raise TypeError("network_spectrum_check needs a Network, "
                         f"got {type(network).__name__}")
     _check_cluster_tol(cluster_tol)
-    ch = from_network(network)
+    cond, m = conductances(network)
+    ch = _network_chain(network, cond)
     p_int = ch.p_int
-    _, m = conductances(network)
     d = np.sqrt([m[x] for x in ch.interior_ids])
     sym = (d[:, None] * p_int) / d[None, :]
     sym_dev = float(np.abs(sym - sym.T).max())

@@ -611,6 +611,13 @@ def test_eigenvalues_refuse_a_cluster_tol_not_positive_and_finite(a, tol):
         eigenvalues(a, cluster_tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False, np.True_], ids=["true", "false", "np_true"])
+def test_eigenvalues_refuse_a_boolean_cluster_tol(tol):
+    """``True`` passed as 1.0 and merged 0.1 and 0.5 into one value."""
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        eigenvalues(np.diag([0.1, 0.5]), cluster_tol=tol)
+
+
 def test_eigenvalues_accurate_on_random_chains():
     # every returned z is an eigenvalue by an oracle apart from eig: the
     # smallest singular value of zI - P_int vanishes

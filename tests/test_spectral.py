@@ -79,6 +79,15 @@ def test_one_eigenvalue_call_per_chain(monkeypatch, p4):
     assert calls[0] == 3 and len(p4._spectrum) == 1
 
 
+def test_a_boolean_cluster_tol_is_refused_before_the_kept_spectrum(p4):
+    """``True == 1.0`` as a dict key, so the spectrum kept for 1.0 came
+    back for ``True``."""
+    kept = interior_spectrum(p4, cluster_tol=1.0)
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        interior_spectrum(p4, cluster_tol=True)
+    assert interior_spectrum(p4, cluster_tol=1.0) is kept
+
+
 def test_a_spectrum_refused_for_no_convergence_is_not_kept(monkeypatch, p4):
     calls = _count_eig(monkeypatch, fail_once=True)
     with pytest.raises(NoConvergence, match="LAPACK"):
@@ -360,6 +369,27 @@ def test_network_check_refuses_a_cluster_tol_not_positive_and_finite(tol):
     eigenvalue 0 of multiplicity 5; its spectrum is +-0.866, +-0.5 and 0."""
     with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
         network_spectrum_check(_path_network(7), cluster_tol=tol)
+
+
+def test_network_check_refuses_a_boolean_cluster_tol():
+    with pytest.raises(ValueError, match="cluster_tol must be positive and finite"):
+        network_spectrum_check(_path_network(7), cluster_tol=True)
+
+
+def test_network_check_builds_the_conductance_table_once(monkeypatch):
+    from polyharm import chain as chainmod
+
+    real, calls = chainmod.conductances, [0]
+
+    def counting(network):
+        calls[0] += 1
+        return real(network)
+
+    monkeypatch.setattr(chainmod, "conductances", counting)
+    monkeypatch.setattr(spectral, "conductances", counting)
+    rep = network_spectrum_check(_path_network(7))
+    assert calls[0] == 1
+    assert sum(rep.alg_mults) == 5
 
 
 def _cornerless_grid_network(m):
