@@ -32,9 +32,13 @@ TOWER_TOL = 1e-8
 
 def _scale(lam: complex, n: int, *vectors: np.ndarray) -> float:
     """(1 + |lam|)^n max(1, max|v|).  The rows of |lam I - P| sum to at
-    most 1 + |lam|, so this bounds Delta_lam^n applied to the vectors."""
+    most 1 + |lam|, so this bounds Delta_lam^n applied to the vectors.
+    A power past the float range raises ``ValueError``: no check can use it."""
     big = max((float(np.abs(v).max()) for v in vectors if v.size), default=0.0)
-    return (1.0 + abs(lam)) ** n * max(big, 1.0)
+    try:
+        return (1.0 + abs(lam)) ** n * max(big, 1.0)
+    except OverflowError:
+        raise ValueError(f"(1 + |lam|)^{n} is past the float range at lam = {lam}") from None
 
 
 def residual_tol(lam: complex, *vectors: np.ndarray) -> float:

@@ -1,12 +1,23 @@
 """Command-line surface.
 
-Every subcommand loads its input, runs the relevant solver, and emits a
+Every subcommand runs the relevant solver on one input file and emits a
 run report: command echo, content digest of the input, numeric results,
 residuals, the tolerances in force and one pass/fail verdict per check.
 ``--json`` switches from the table rendering to machine-readable JSON.
 
-Exit codes: 0 all verdicts pass, 1 a numeric verdict failed (including
-solver errors like a spectral parameter), 2 malformed input or usage.
+:func:`main` does the steps every subcommand shares, each once: it reads
+and parses the input file, parses ``--lambda`` where the subcommand
+takes it, and maps each exception to an exit code.  A subcommand
+declares its file parser, whether it takes ``--lambda`` and the verdict
+a solver refusal fails where its parser is built, so a ``cmd_*`` body
+holds only solver calls and report lines.
+
+Exit codes: 0 all verdicts pass; 1 a verdict failed, including a solver
+refusal (a :class:`~polyharm.errors.PolyharmError` such as a spectral
+parameter), which fails the verdict its subcommand names; 2 an input
+problem (a malformed, missing or unreadable file, a bad flag value, a
+request too large for memory), and any refusal in ``validate`` and
+``tree``, which name no verdict.  No exit prints a traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .chain import boundary_distance
 from .errors import PolyharmError
 from .formats import (
     FormatError,
+    _from_json,
     chain_from_doc,
     chain_to_doc,
     jsonable,
@@ -34,10 +46,6 @@ from .formats import (
 from .linalg import CLUSTER_TOL, PIVOT_RTOL
 
 USAGE_ERROR = 2
-
-
-class InputError(Exception):
-    """Malformed input; exits with code 2."""
 
 
 def _scalar(text: str, flag: str) -> complex:
@@ -77,9 +85,13 @@ class Report:
         """``parse(doc, path)`` of the JSON input file at ``path``, whose
         bytes are read once for both the parse and the digest."""
         with open(path, "rb") as fh:
-            data = fh.read()
+            return _from_json(self._digest(fh.read()), path, parse)
+
+    def _digest(self, data: bytes) -> bytes:
+        """Record the digest of ``data`` and pass it on: held by no local,
+        the bytes are freed once decoded, before the parse peaks."""
         self.doc["input_digest"] = hashlib.sha256(data).hexdigest()
-        return parse(json.loads(data), path)
+        return data
 
     def result(self, key, value):
         self.doc["results"][key] = value
@@ -138,8 +150,7 @@ def _vector_result(chain, values) -> dict:
 
 # ------------------------------------------------------------ subcommands
 
-def cmd_validate(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
+def cmd_validate(args, rep: Report, chain) -> None:
     rep.result("vertices", len(chain.vertices))
     rep.result("interior", list(chain.interior_ids))
     rep.result("boundary", list(chain.boundary_ids))
@@ -151,14 +162,9 @@ def cmd_validate(args, rep: Report) -> None:
         rep.result("emitted", args.emit)
 
 
-def cmd_spectrum(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
+def cmd_spectrum(args, rep: Report, chain) -> None:
     rep.tolerance("cluster_tol", args.cluster_tol)
-    try:
-        ispec = spectral.interior_spectrum(chain, cluster_tol=args.cluster_tol)
-    except PolyharmError as exc:
-        rep.fail("spectral_radius_below_one", exc)
-        return
+    ispec = spectral.interior_spectrum(chain, cluster_tol=args.cluster_tol)
     rep.result("eigenvalues", list(ispec.spectrum.eigenvalues))
     rep.result("multiplicities", list(ispec.spectrum.alg_mult))
     rep.result("rho", ispec.rho)
@@ -176,62 +182,37 @@ def _solution_report(rep: Report, sol) -> None:
     rep.verdict("residual_within_tol", sol.residual_ok)
 
 
-def cmd_dirichlet(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
-    lam = _scalar(args.lam, "--lambda")
-    g = load_vector(args.g)
-    try:
-        sol = bvp.solve_dirichlet(chain, lam, g)
-    except PolyharmError as exc:
-        rep.fail("solved", exc)
-        return
+def cmd_dirichlet(args, rep: Report, chain) -> None:
+    sol = bvp.solve_dirichlet(chain, args.lam, load_vector(args.g))
     rep.result("values", _vector_result(chain, sol.values))
     _solution_report(rep, sol)
 
 
-def cmd_riquier(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
-    lam = _scalar(args.lam, "--lambda")
+def cmd_riquier(args, rep: Report, chain) -> None:
     gs = [load_vector(p) for p in args.g]
-    try:
-        sol = bvp.solve_riquier(bvp.RiquierProblem(lam, tuple(
-            bvp.boundary_vector(chain, g) for g in gs)), chain)
-    except PolyharmError as exc:
-        rep.fail("solved", exc)
-        return
+    sol = bvp.solve_riquier(bvp.RiquierProblem(args.lam, tuple(
+        bvp.boundary_vector(chain, g) for g in gs)), chain)
     rep.result("values", _vector_result(chain, sol.values))
     rep.result("order", sol.order)
     rep.result("nth_interior", list(sol.nth_interior))
     _solution_report(rep, sol)
 
 
-def cmd_global_basis(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
-    lam = _scalar(args.lam, "--lambda")
+def cmd_global_basis(args, rep: Report, chain) -> None:
     rep.tolerance("cluster_tol", CLUSTER_TOL)
-    try:
-        if abs(lam - 1.0) <= CLUSTER_TOL:
-            # at lam = 1 the global space is the classical harmonic one
-            basis = bvp.free_polyharmonic_space(chain, 1.0, args.n)
-        else:
-            basis = spectral.global_polyharmonic_basis(chain, lam, args.n)
-    except PolyharmError as exc:
-        rep.fail("basis_computed", exc)
-        return
+    if abs(args.lam - 1.0) <= CLUSTER_TOL:
+        # at lam = 1 the global space is the classical harmonic one
+        basis = bvp.free_polyharmonic_space(chain, 1.0, args.n)
+    else:
+        basis = spectral.global_polyharmonic_basis(chain, args.lam, args.n)
     rep.result("dimension", len(basis))
     for i, v in enumerate(basis):
         rep.result(f"basis_{i}", _vector_result(chain, v))
     rep.verdict("basis_computed", True)
 
 
-def cmd_martin(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
-    lam = _scalar(args.lam, "--lambda")
-    try:
-        mk = martin.martin_kernel(chain, lam, args.origin, n=args.order)
-    except PolyharmError as exc:
-        rep.fail("kernel_computed", exc)
-        return
+def cmd_martin(args, rep: Report, chain) -> None:
+    mk = martin.martin_kernel(chain, args.lam, args.origin, n=args.order)
     for j, w in enumerate(chain.boundary_ids):
         rep.result(f"K(.,{w})", {vid: complex(mk.k[i, j])
                                  for i, vid in enumerate(chain.vertices)})
@@ -239,137 +220,102 @@ def cmd_martin(args, rep: Report) -> None:
         for j, w in enumerate(chain.boundary_ids):
             rep.result(f"K{r}(.,{w})", {vid: complex(mk.higher[r - 1][i, j])
                                         for i, vid in enumerate(chain.interior_ids)})
-    origin_row = mk.k[chain.vertex_index(args.origin)]
-    rep.residual("origin_normalisation", float(np.abs(origin_row - 1.0).max()))
+    off = float(np.abs(mk.k[chain.vertex_index(args.origin)] - 1.0).max())
+    rep.residual("origin_normalisation", off)
     rep.verdict("kernel_computed", True)
-    rep.verdict("origin_row_is_one", bool(np.abs(origin_row - 1.0).max() == 0.0))
+    rep.verdict("origin_row_is_one", off == 0.0)
 
 
-def cmd_simulate(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
+def cmd_simulate(args, rep: Report, chain) -> None:
     cfg = simulate.SimConfig(trials=args.trials, seed=args.seed,
                              max_steps=args.max_steps, start=args.start)
     est = simulate.simulate_hitting(chain, cfg)
-    rep.result("counts", {w: int(c) for w, c in zip(chain.boundary_ids, est.counts)})
-    rep.result("hit_fraction", {w: float(p) for w, p
-                                in zip(chain.boundary_ids, est.hit_fraction)})
-    rep.result("std_error", {w: float(s) for w, s
-                             in zip(chain.boundary_ids, est.std_error)})
+    for key, values, kind in (("counts", est.counts, int),
+                              ("hit_fraction", est.hit_fraction, float),
+                              ("std_error", est.std_error, float)):
+        rep.result(key, {w: kind(x) for w, x in zip(chain.boundary_ids, values)})
     rep.result("censored", est.censored)
     rep.result("steps", est.steps)
     rep.verdict("censoring_below_1e-3", not est.censor_flagged)
-    if args.compare:
-        lam = _scalar(args.compare_lambda, "--compare-lambda")
-        try:
-            gm = bvp.green(chain, lam)
-        except PolyharmError as exc:
-            rep.fail("compared", exc)
-            return
-        cmp_rep = simulate.compare_to_analytic(est, gm)
-        if cmp_rep.underpowered:
-            rep.result("underpowered", True)
-        if cmp_rep.mode == "hitting":
-            rep.result("z_scores", dict(cmp_rep.z_scores))
-            rep.tolerance("abs_z_limit", 5.0)
-            rep.verdict("z_within_5_sigma",
-                        (not cmp_rep.underpowered) and cmp_rep.max_abs_z <= 5.0)
-        else:
-            for w, s in cmp_rep.series.items():
-                rep.result(f"series_{w}", {
-                    "empirical": s.empirical, "analytic": s.analytic,
-                    "sigma": s.sigma, "truncation_bound": s.truncation_bound,
-                })
-            rep.verdict("series_within_3_sigma", cmp_rep.all_series_within)
+    if not args.compare:
+        return
+    gm = bvp.green(chain, _scalar(args.compare_lambda, "--compare-lambda"))
+    cmp_rep = simulate.compare_to_analytic(est, gm)
+    if cmp_rep.underpowered:
+        rep.result("underpowered", True)
+    if cmp_rep.mode == "hitting":
+        rep.result("z_scores", dict(cmp_rep.z_scores))
+        rep.tolerance("abs_z_limit", 5.0)
+        rep.verdict("z_within_5_sigma",
+                    (not cmp_rep.underpowered) and cmp_rep.max_abs_z <= 5.0)
+    else:
+        for w, s in cmp_rep.series.items():
+            rep.result(f"series_{w}", {
+                "empirical": s.empirical, "analytic": s.analytic,
+                "sigma": s.sigma, "truncation_bound": s.truncation_bound,
+            })
+        rep.verdict("series_within_3_sigma", cmp_rep.all_series_within)
 
 
-def cmd_check_derivative(args, rep: Report) -> None:
-    chain = rep.load(args.chain, chain_from_doc)
-    lam = _scalar(args.lam, "--lambda")
-    h = args.h if args.h is not None else 1e-4 * (1 + abs(lam))
+def cmd_check_derivative(args, rep: Report, chain) -> None:
+    h = args.h if args.h is not None else 1e-4 * (1 + abs(args.lam))
     rep.tolerance("step", h)
     limit = args.limit if args.limit is not None else max(1e-6, 100.0 * h * h)
     rep.tolerance("deviation_limit", limit)
-    try:
-        dev = martin.derivative_identity_check(chain, lam, args.r, h)
-    except PolyharmError as exc:
-        rep.fail("derivative_identity", exc)
-        return
+    dev = martin.derivative_identity_check(chain, args.lam, args.r, h)
     rep.result("max_deviation", dev)
     rep.verdict("derivative_identity", dev <= limit)
 
 
-def _need(args, *names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise InputError(f"tree {args.subop} needs {', '.join(missing)}")
+_TREE_FLAGS = {"green": ("x", "y"), "kr": ("x", "w"), "ktr": ("x", "arc"),
+               "eval": ("nu", "x"), "identity-check": ("w",)}
 
 
-def cmd_tree(args, rep: Report) -> None:
-    tree, stored_section = rep.load(args.tree, tree_from_doc)
+def cmd_tree(args, rep: Report, loaded) -> None:
+    tree, stored_section = loaded
     section = args.section.split(",") if args.section else stored_section
-    lam = _scalar(args.lam, "--lambda")
-
     if args.subop in ("green", "kr", "identity-check") and not section:
-        raise InputError("this tree operation needs a section "
+        raise ValueError("this tree operation needs a section "
                          "(in the file or via --section)")
-    needed = {"green": ("x", "y"), "kr": ("x", "w"), "ktr": ("x", "arc"),
-              "eval": ("nu", "x"), "identity-check": ("w",)}
-    _need(args, *needed[args.subop])
+    missing = [f"--{n}" for n in _TREE_FLAGS[args.subop] if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"tree {args.subop} needs {', '.join(missing)}")
     if args.subop == "green":
-        val = treemod.tree_green(tree, section, lam, args.x, args.y)
+        val = treemod.tree_green(tree, section, args.lam, args.x, args.y)
+        gm = bvp.green(treemod.restrict_to_section(tree, section), args.lam)
+        general = complex(gm.g[gm.chain.interior.index(gm.chain.vertex_index(args.x)),
+                               gm.chain.interior.index(gm.chain.vertex_index(args.y))])
+        tol = 1e-12 * (1 + abs(val))
         rep.result("green", val)
-        gm = bvp.green(treemod.restrict_to_section(tree, section), lam)
-        general = gm.g[gm.chain.interior.index(gm.chain.vertex_index(args.x)),
-                       gm.chain.interior.index(gm.chain.vertex_index(args.y))]
-        rep.result("general_solver", complex(general))
-        rep.residual("closed_vs_general", abs(val - complex(general)))
-        rep.tolerance("agreement_tol", 1e-12 * (1 + abs(val)))
-        rep.verdict("closed_form_matches", abs(val - complex(general))
-                    <= 1e-12 * (1 + abs(val)))
+        rep.result("general_solver", general)
+        rep.residual("closed_vs_general", abs(val - general))
+        rep.tolerance("agreement_tol", tol)
+        rep.verdict("closed_form_matches", abs(val - general) <= tol)
     elif args.subop == "kr":
-        val = treemod.section_kernel(tree, section, lam, args.r, args.x, args.w)
-        rep.result("kernel", val)
+        rep.result("kernel", treemod.section_kernel(tree, section, args.lam, args.r,
+                                                    args.x, args.w))
         rep.verdict("computed", True)
     elif args.subop == "ktr":
-        val = treemod.boundary_kernel(tree, lam, args.r, args.x, args.arc)
-        rep.result("kernel", val)
+        rep.result("kernel", treemod.boundary_kernel(tree, args.lam, args.r, args.x, args.arc))
         rep.verdict("computed", True)
     elif args.subop == "eval":
         nus = [load_vector(p) for p in args.nu]
-        val = treemod.eval_polyharmonic(tree, lam, nus, args.x)
-        rep.result("value", val)
+        rep.result("value", treemod.eval_polyharmonic(tree, args.lam, nus, args.x))
         rep.verdict("computed", True)
-    elif args.subop == "identity-check":
-        out = treemod.kernel_consistency_check(tree, section, lam, args.n, args.w)
+    else:  # identity-check
+        out = treemod.kernel_consistency_check(tree, section, args.lam, args.n, args.w)
+        limit = 1e-10 * (1 + max((abs(v) for v in out.lhs.values()), default=0.0))
         rep.result("lhs", dict(out.lhs))
         rep.result("rhs", dict(out.rhs))
         rep.residual("max_deviation", out.max_deviation)
-        rep.tolerance("deviation_limit", 1e-10 * (1 + max(
-            (abs(v) for v in out.lhs.values()), default=0.0)))
+        rep.tolerance("deviation_limit", limit)
         rep.result("alternate_identity_ok", out.alternate_identity_ok)
         if out.alternate_counterexample:
             a, b, n, l, r = out.alternate_counterexample
             rep.result("alternate_counterexample",
                        f"|x|={a} |w|={b} n={n}: {l} != {r}")
         rep.verdict("derived_identity_exact", out.derived_identity_ok)
-        rep.verdict("kernel_expansion_matches", out.max_deviation <= 1e-10 * (
-            1 + max((abs(v) for v in out.lhs.values()), default=0.0)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown tree subop {args.subop}")
-
-
-class _Subcommands:
-    """Lets --json appear after the subcommand too, without the
-    subparser default clobbering a flag given before it."""
-
-    def __init__(self, sub):
-        self._sub = sub
-
-    def add_parser(self, *args, **kwargs):
-        p = self._sub.add_parser(*args, **kwargs)
-        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        return p
+        rep.verdict("kernel_expansion_matches", out.max_deviation <= limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,48 +324,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-value solvers on finite absorbing Markov chains",
     )
     ap.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sub = _Subcommands(ap.add_subparsers(dest="command", required=True))
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a chain (or network) file")
-    p.add_argument("chain")
+    def command(name, func, help, parse=chain_from_doc, lam=False, verdict=None):
+        """A subcommand of one input file read by ``parse``, taking
+        ``--lambda`` when ``lam``.  A solver's PolyharmError fails
+        ``verdict`` (exit 1); with ``verdict=None`` it is a usage error."""
+        p = sub.add_parser(name, help=help)
+        # --json may follow the subcommand too; SUPPRESS keeps this
+        # parser's default from clobbering a --json given before it
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
+        p.add_argument("input", metavar="tree" if parse is tree_from_doc else "chain")
+        if lam:
+            p.add_argument("--lambda", dest="lam", required=True)
+        p.set_defaults(func=func, parse=parse, verdict=verdict)
+        return p
+
+    p = command("validate", cmd_validate, "validate a chain (or network) file")
     p.add_argument("--emit", help="write the canonical chain JSON here")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("spectrum", help="interior spectrum and spectral radius")
-    p.add_argument("chain")
+    p = command("spectrum", cmd_spectrum, "interior spectrum and spectral radius",
+                verdict="spectral_radius_below_one")
     p.add_argument("--cluster-tol", type=_positive, default=CLUSTER_TOL)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("dirichlet", help="solve the boundary extension problem")
-    p.add_argument("chain")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("dirichlet", cmd_dirichlet, "solve the boundary extension problem",
+                lam=True, verdict="solved")
     p.add_argument("--g", required=True, help="boundary data file")
-    p.set_defaults(func=cmd_dirichlet)
 
-    p = sub.add_parser("riquier", help="solve the order-n tower")
-    p.add_argument("chain")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("riquier", cmd_riquier, "solve the order-n tower", lam=True, verdict="solved")
     p.add_argument("--g", required=True, type=lambda s: s.split(","),
                    help="comma-separated boundary data files g1.json,g2.json,...")
-    p.set_defaults(func=cmd_riquier)
 
-    p = sub.add_parser("global-basis", help="basis of global order-n solutions")
-    p.add_argument("chain")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("global-basis", cmd_global_basis, "basis of global order-n solutions",
+                lam=True, verdict="basis_computed")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_global_basis)
 
-    p = sub.add_parser("martin", help="Martin kernel at an origin")
-    p.add_argument("chain")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("martin", cmd_martin, "Martin kernel at an origin", lam=True,
+                verdict="kernel_computed")
     p.add_argument("--origin", required=True)
     p.add_argument("--order", type=int, default=1)
-    p.set_defaults(func=cmd_martin)
 
-    p = sub.add_parser("tree", help="closed-form forward-tree operations")
-    p.add_argument("tree")
-    p.add_argument("subop", choices=["green", "kr", "ktr", "eval", "identity-check"])
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("tree", cmd_tree, "closed-form forward-tree operations",
+                parse=tree_from_doc, lam=True)
+    p.add_argument("subop", choices=list(_TREE_FLAGS))
     p.add_argument("--section", help="comma-separated section ids (overrides file)")
     p.add_argument("--x")
     p.add_argument("--y")
@@ -429,10 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--nu", type=lambda s: s.split(","),
                    help="comma-separated distribution files")
-    p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("simulate", help="Monte Carlo hitting estimates")
-    p.add_argument("chain")
+    p = command("simulate", cmd_simulate, "Monte Carlo hitting estimates", verdict="compared")
     p.add_argument("--start", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -441,34 +387,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the analytic hitting matrix")
     p.add_argument("--compare-lambda", default="1",
                    help="resolvent parameter for the comparison (default 1)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check-derivative", help="finite-difference resolvent identity")
-    p.add_argument("chain")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = command("check-derivative", cmd_check_derivative, "finite-difference resolvent identity",
+                lam=True, verdict="derivative_identity")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--h", type=_positive)
     p.add_argument("--limit", type=_positive, help="deviation limit (default 100 h^2)")
-    p.set_defaults(func=cmd_check_derivative)
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     rep = Report(argv)
     try:
-        args.func(args, rep)
-    except (FormatError, InputError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except PolyharmError as exc:
-        # structural input problems (bad chain/tree files) are usage errors
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        loaded = rep.load(args.input, args.parse)
+        if "lam" in args:
+            args.lam = _scalar(args.lam, "--lambda")
+        try:
+            args.func(args, rep, loaded)
+        except PolyharmError as exc:
+            if args.verdict is None:
+                raise
+            rep.fail(args.verdict, exc)
+    except (ValueError, OSError, MemoryError, PolyharmError) as exc:
+        # input problems (FormatError, JSON errors and missing tree flags are
+        # ValueErrors), and the refusals of a subcommand that names no verdict
+        kind = f"{type(exc).__name__}: " if isinstance(exc, (PolyharmError, MemoryError)) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return USAGE_ERROR
     return rep.finish(args.json)
 

@@ -9,6 +9,7 @@ are listed as explicit edges; boundary rows are implied absorbing.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -21,9 +22,34 @@ class FormatError(ValueError):
     """Malformed input document."""
 
 
-def _finite(z: complex, what) -> complex:
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise FormatError(f"{what!r} is not a finite number")
+def _is_number(x) -> bool:
+    """A JSON number: ``true`` and ``false`` are not, although Python's
+    ``bool`` is an ``int``."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _real(v, *where) -> float:
+    """A JSON number as a finite float: the one reader of every number an
+    input file holds.  A bool, a string, a non-finite value or an integer
+    past the float range raises :class:`FormatError` prefixed by the parts
+    of ``where`` (the file and key it came from), joined only then: a
+    chain file can hold 10^5 numbers."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise FormatError(f"{''.join(map(str, where))}{v!r} is not a finite number")
+
+
+def _complex(re, im=0.0, where: str = "") -> complex:
+    """A complex scalar from two JSON numbers (see :func:`_real`).  Their
+    sum of moduli must be finite too, so that complex arithmetic on the
+    value, division included, stays in the float range."""
+    z = complex(_real(re, where), _real(im, where))
+    _real(abs(z.real) + abs(z.imag), where, "|re| + |im| = ")
     return z
 
 
@@ -31,30 +57,19 @@ def parse_complex(text: str) -> complex:
     """Parse a CLI scalar: ``RE`` or ``RE,IM``, both finite."""
     parts = text.split(",")
     try:
-        z = complex(*map(float, parts)) if len(parts) in (1, 2) else None
+        re_im = [float(x) for x in parts] if len(parts) in (1, 2) else None
     except ValueError:
-        z = None
-    if z is None:
+        re_im = None
+    if re_im is None:
         raise FormatError(f"cannot parse complex scalar {text!r} (want RE or RE,IM)")
-    return _finite(z, text)
-
-
-def _is_number(x) -> bool:
-    """A JSON number: ``true`` and ``false`` are not, although Python's
-    ``bool`` is an ``int``."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return _complex(*re_im, where=f"{text!r}: ")
 
 
 def value_to_complex(v: Any) -> complex:
     """A finite number or ``[re, im]`` pair as a complex scalar."""
-    try:
-        if _is_number(v):
-            return _finite(complex(v), v)
-        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)):
-            return _finite(complex(v[0], v[1]), v)
-    except OverflowError:  # an integer beyond the float range
-        raise FormatError(f"{v!r} is not a finite number") from None
-    raise FormatError(f"cannot read {v!r} as a number or [re, im] pair")
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return _complex(v[0], v[1])
+    return _complex(v)
 
 
 def complex_to_value(z: complex):
@@ -97,12 +112,13 @@ def _list(doc: Mapping, key: str, path: str) -> list:
     return val
 
 
-def _bad_edge(path: str, i: int, e, key: str | None = None) -> FormatError:
-    """Edge ``i`` is not an object, or (with ``key``) its weight under
-    ``key`` is not a JSON number: ``true`` and ``"0.5"`` are refused."""
-    if key is None:
-        return FormatError(f"{path}: edge {i} must be an object, got {e!r}")
-    return FormatError(f"{path}: edge {i}: {key!r} must be a number, got {e[key]!r}")
+def _edges(doc: Mapping, path: str) -> list:
+    """The edge objects of a chain or network document."""
+    edges = _list(doc, "edges", path)
+    for i, e in enumerate(edges):
+        if not isinstance(e, dict):
+            raise FormatError(f"{path}: edge {i} must be an object, got {e!r}")
+    return edges
 
 
 def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
@@ -123,19 +139,18 @@ def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
     unknown = boundary_set - index.keys()
     if unknown:
         raise FormatError(f"{path}: boundary ids not in the vertex list: {sorted(unknown)}")
-    trans = np.zeros((n, n))
-    for i, e in enumerate(_list(doc, "edges", path)):
-        if not isinstance(e, dict):
-            raise _bad_edge(path, i, e)
+    rows, cols, ps = [], [], []
+    for i, e in enumerate(_edges(doc, path)):
         u, v = str(_require(e, "from", path)), str(_require(e, "to", path))
         if u not in index or v not in index:
             raise FormatError(f"{path}: edge {u!r}->{v!r} uses unknown vertex")
         if u in boundary_set:
             raise FormatError(f"{path}: boundary vertex {u!r} must not have explicit edges")
-        p = _require(e, "p", path)
-        if type(p) not in (int, float):
-            raise _bad_edge(path, i, e, "p")
-        trans[index[u], index[v]] += p
+        rows.append(index[u])
+        cols.append(index[v])
+        ps.append(_real(_require(e, "p", path), path, ": edge ", i, ": 'p': "))
+    trans = np.zeros((n, n))
+    np.add.at(trans, (rows, cols), ps)  # parallel edges add up, in file order
     for w in boundary_set:
         trans[index[w], index[w]] = 1.0
     interior = [v for v in vertices if v not in boundary_set]
@@ -144,21 +159,31 @@ def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
 
 def network_from_doc(doc: Mapping, path: str = "network") -> Network:
     boundary = _list(doc, "boundary", path)
-    parsed = []
-    for i, e in enumerate(_list(doc, "edges", path)):
-        if not isinstance(e, dict):
-            raise _bad_edge(path, i, e)
-        a = _require(e, "a", path)
-        if type(a) not in (int, float):
-            raise _bad_edge(path, i, e, "a")
-        parsed.append((str(_require(e, "u", path)), str(_require(e, "v", path)), float(a)))
+    parsed = [(str(_require(e, "u", path)), str(_require(e, "v", path)),
+               _real(_require(e, "a", path), path, ": edge ", i, ": 'a': "))
+              for i, e in enumerate(_edges(doc, path))]
     return build_network(parsed, [str(w) for w in boundary])
+
+
+def _from_json(data, path: str, parse):
+    """``parse(doc, path)`` of the JSON document in ``data``.  A document
+    nested too deeply for Python's recursion limit is malformed input."""
+    try:
+        doc = json.loads(data)
+        del data  # the text, when no caller keeps it, is freed before the parse
+        return parse(doc, path)
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+
+
+def _load(path: str, parse):
+    with open(path) as fh:
+        return _from_json(fh.read(), path, parse)
 
 
 def load_chain(path: str) -> Chain:
     """Load a chain (or network) JSON file, see :func:`chain_from_doc`."""
-    with open(path) as fh:
-        return chain_from_doc(json.load(fh), path)
+    return _load(path, chain_from_doc)
 
 
 def chain_to_doc(chain: Chain) -> dict:
@@ -181,27 +206,32 @@ def tree_from_doc(doc: Mapping, path: str = "tree") -> tuple[ForwardTree, list[s
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     children = _require(doc, "children", path)
-    if not isinstance(children, dict):
-        raise FormatError(f"{path}: 'children' must be an object")
-    measure = doc.get("measure")
-    forward_p = doc.get("forward_p")
+    if not (isinstance(children, dict) and all(isinstance(c, list) for c in children.values())):
+        raise FormatError(f"{path}: 'children' must map ids to lists of ids")
+    weights = {}
+    for key in ("measure", "forward_p"):
+        if doc.get(key) is not None:
+            if not isinstance(doc[key], dict):
+                raise FormatError(f"{path}: {key!r} must be an object")
+            weights[key] = {k: _real(x, path, f": {key} of ", repr(k), ": ")
+                            for k, x in doc[key].items()}
     try:
-        tree = build_tree(children, measure=measure, forward_probs=forward_p)
+        tree = build_tree(children, measure=weights.get("measure"),
+                          forward_probs=weights.get("forward_p"))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if "depth" in doc and int(doc["depth"]) != tree.max_depth:
-        raise FormatError(
-            f"{path}: declared depth {doc['depth']} != stored depth {tree.max_depth}"
-        )
+    depth = doc.get("depth", tree.max_depth)
+    if not (_is_number(depth) and depth == tree.max_depth):
+        raise FormatError(f"{path}: declared depth {depth!r} != stored depth {tree.max_depth}")
     section = doc.get("section")
     if section is not None:
-        section = [str(s) for s in section]
+        section = [str(s) for s in _list(doc, "section", path)]
     return tree, section
 
 
 def load_tree(path: str) -> tuple[ForwardTree, list[str] | None]:
-    with open(path) as fh:
-        return tree_from_doc(json.load(fh), path)
+    """Load a tree JSON file, see :func:`tree_from_doc`."""
+    return _load(path, tree_from_doc)
 
 
 def tree_to_doc(tree: ForwardTree, section=None) -> dict:
@@ -215,10 +245,7 @@ def tree_to_doc(tree: ForwardTree, section=None) -> dict:
     return doc
 
 
-def load_vector(path: str) -> dict[str, complex]:
-    """Load a ``{vertex-id: value}`` map with complex-aware values."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def _vector_from_doc(doc, path: str) -> dict[str, complex]:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: vector file must be an object")
     out = {}
@@ -228,3 +255,8 @@ def load_vector(path: str) -> dict[str, complex]:
         except FormatError as exc:
             raise FormatError(f"{path}: value of {k!r}: {exc}") from None
     return out
+
+
+def load_vector(path: str) -> dict[str, complex]:
+    """Load a ``{vertex-id: value}`` map with complex-aware values."""
+    return _load(path, _vector_from_doc)

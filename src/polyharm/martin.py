@@ -11,6 +11,7 @@ g_r(w) F(o, w | lam).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,20 +138,28 @@ def derivative_identity_check(chain: Chain, lam: complex, r: int,
     approximated by the symmetric d+1 point stencil with step ``h``
     along the real axis, scaled by (-1)^(r-1)/(r-1)!, and compared with
     G(lam)^r.  Expected deviation is O(h^2) plus conditioning.  Every
-    stencil node must stay in the resolvent set.
+    stencil node must stay in the resolvent set, and h^(r-1) must be a
+    normal float (else ``ValueError``).
     """
     if r < 2:
         raise ValueError(f"derivative order needs r >= 2, got {r}")
     d = r - 1
     if h is None:
         h = 1e-4 * (1.0 + abs(lam))
+    try:
+        hd = h**d
+    except OverflowError:
+        hd = math.inf
+    if not sys.float_info.min <= hd < math.inf:
+        raise ValueError(f"step h = {h!r} is out of range for a derivative of order {d}: "
+                         f"h^{d} = {hd!r} is not a normal float")
     fd = None
     for k in range(d + 1):
         node = lam + (d / 2.0 - k) * h
         coeff = ((-1) ** k) * math.comb(d, k)
         g_node = green(chain, node).g
         fd = coeff * g_node if fd is None else fd + coeff * g_node
-    fd = fd / h**d
+    fd = fd / hd
     scaled = ((-1) ** (r - 1)) / math.factorial(r - 1) * fd
 
     gm = green(chain, lam)

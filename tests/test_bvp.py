@@ -103,6 +103,13 @@ def test_maximum_principle_random():
 
 # --------------------------------------------------------------- riquier
 
+def test_riquier_scale_past_the_float_range_is_refused(p4):
+    # (1 + |lam|)^2 overflows: a ValueError, not an OverflowError from the check
+    prob = RiquierProblem(1e300, (np.zeros(2, dtype=complex), np.ones(2, dtype=complex)))
+    with pytest.raises(ValueError, match="past the float range"):
+        solve_riquier(prob, p4)
+
+
 def test_riquier_golden_p4(p4):
     prob = RiquierProblem(1.0, (
         np.zeros(2, dtype=complex),

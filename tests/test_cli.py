@@ -9,6 +9,7 @@ from polyharm.formats import (
     FormatError,
     chain_to_doc,
     load_chain,
+    load_tree,
     parse_complex,
     value_to_complex,
 )
@@ -374,6 +375,17 @@ MALFORMED = {
                        "edges": [{"u": "w1", "v": "a", "a": 1.0},
                                  {"u": "a", "v": "w2", "a": None}]},
     "duplicate_vertex_ids": _p4_with(vertices=["w1", "a", "b", "w2", "a"]),
+    "p_huge_int": _p4_with(edges=[{**_EDGES[0], "p": 10**400}] + _EDGES[1:]),
+    "p_nan": _p4_with(edges=[{**_EDGES[0], "p": float("nan")}] + _EDGES[1:]),
+    "network_a_huge_int": {"boundary": ["w1", "w2"],
+                           "edges": [{"u": "w1", "v": "a", "a": 10**400},
+                                     {"u": "a", "v": "w2", "a": 1.0}]},
+    "network_a_true": {"boundary": ["w1", "w2"],
+                       "edges": [{"u": "w1", "v": "a", "a": 1.0},
+                                 {"u": "a", "v": "w2", "a": True}]},
+    "network_a_string": {"boundary": ["w1", "w2"],
+                           "edges": [{"u": "w1", "v": "a", "a": "1.0"},
+                                     {"u": "a", "v": "w2", "a": 1.0}]},
 }
 
 
@@ -435,6 +447,15 @@ def test_parse_complex_refuses_non_finite(text):
         parse_complex(text)
 
 
+@pytest.mark.parametrize("read, value", [(parse_complex, "1e308,-1e308"),
+                                         (value_to_complex, [1e308, 1e308])],
+                         ids=["parse_complex", "value_to_complex"])
+def test_complex_scalars_need_a_finite_sum_of_moduli(read, value):
+    # complex division of such a value overflows, although each part is finite
+    with pytest.raises(FormatError, match=r"\|re\| \+ \|im\| = inf is not a finite number"):
+        read(value)
+
+
 def test_finite_scalars_still_read():
     assert value_to_complex(2) == 2 and value_to_complex([1.5, -2]) == 1.5 - 2j
     assert parse_complex("1.5") == 1.5 and parse_complex("1,-0.25") == 1 - 0.25j
@@ -482,3 +503,104 @@ def test_tree_unknown_vertex_id_exit2(subop, tree_file, tmp_path, capsys):
     assert captured.out == ""
     assert "'bogus'" in captured.err
     assert "Traceback" not in captured.err
+
+
+def _tree_with(**changes):
+    doc = json.loads(json.dumps(TREE_DOC))
+    doc.update(changes)
+    return doc
+
+
+MALFORMED_TREES = {
+    "measure_huge_int": _tree_with(measure={**TREE_DOC["measure"], "v11": 10**400}),
+    "measure_true_and_string": _tree_with(measure={**TREE_DOC["measure"], "o": True,
+                                                   "u1": "0.5"}),
+    "forward_p_a_string": {"children": TREE_DOC["children"],
+                           "forward_p": {v: "0.5" for v in TREE_DOC["measure"] if v != "o"}},
+    "measure_a_list": _tree_with(measure=[1, 2]),
+    "children_an_int": _tree_with(children={"o": 5}),
+    "section_a_number": _tree_with(section=5),
+    "depth_a_list": _tree_with(depth=[1]),
+    "depth_a_fraction": _tree_with(depth=2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TREES))
+def test_malformed_tree_file_exit2(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_TREES[name]))
+    with pytest.raises(FormatError, match=str(path)):
+        load_tree(str(path))
+    code = main(["tree", str(path), "ktr", "--lambda", "1", "--x", "o", "--arc", "u1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["tree", "ktr", "--lambda", "1",
+                                                    "--x", "o", "--arc", "u1"]])
+def test_deeply_nested_json_exit2(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code = main(command[:1] + [str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(path) in captured.err and "nested too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_vector_file_exit2(p4_file, tmp_path, capsys):
+    g = tmp_path / "deep_g.json"
+    g.write_text("[" * 100_000)
+    code = main(["dirichlet", p4_file, "--lambda", "1", "--g", str(g)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(g) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_input_path_is_a_directory_exit2(tmp_path, capsys):
+    assert "Is a directory" in _usage_error(capsys, ["validate", str(tmp_path)])
+
+
+def test_emit_path_is_a_directory_exit2(p4_file, tmp_path, capsys):
+    err = _usage_error(capsys, ["--json", "validate", p4_file, "--emit", str(tmp_path)])
+    assert "Is a directory" in err
+
+
+def test_unreadable_input_exit2(p4_file, capsys, monkeypatch):
+    import builtins
+
+    real = builtins.open
+
+    def refusing(file, *args, **kwargs):
+        if file == p4_file:
+            raise PermissionError(13, "Permission denied", file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing)
+    assert "Permission denied" in _usage_error(capsys, ["spectrum", p4_file])
+
+
+def test_simulation_too_large_for_memory_exit2(p4_file, capsys, monkeypatch):
+    from polyharm import simulate
+
+    def too_large(chain, config):  # what numpy raises; nothing is allocated here
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type int64")
+
+    monkeypatch.setattr(simulate, "simulate_hitting", too_large)
+    err = _usage_error(capsys, ["--json", "simulate", p4_file, "--start", "a",
+                                "--trials", "1000000000000", "--seed", "1"])
+    assert "MemoryError: Unable to allocate" in err

@@ -131,6 +131,13 @@ def test_derivative_identity_p4_r3(p4):
     assert dev <= 1e-4
 
 
+@pytest.mark.parametrize("lam, r, h", [(2.0, 3, 1e-300), (2.0, 2, 1e-320), (1e300, 5, None)],
+                         ids=["h_squared_underflows", "h_subnormal", "default_h_overflows"])
+def test_derivative_identity_refuses_steps_out_of_range(p4, lam, r, h):
+    with pytest.raises(ValueError, match="not a normal float"):
+        derivative_identity_check(p4, lam, r, h)
+
+
 def test_derivative_identity_scalar_chain():
     from polyharm import build_chain
 
