@@ -155,6 +155,13 @@ class Network:
     edges: tuple[tuple[str, str, float], ...]
     boundary: tuple[str, ...]
 
+    @cached_property
+    def _walk(self) -> tuple[Chain, dict[str, float]]:
+        """The random-walk chain of :func:`from_network` and the vertex
+        weights it normalises by, formed once, on first read."""
+        cond, m = conductances(self)
+        return _network_chain(self, cond, m), m
+
 
 def _rows(idx: tuple[int, ...]) -> slice | np.ndarray:
     """Ascending ``idx`` as a slice when it is one contiguous run, else
@@ -330,14 +337,10 @@ def conductances(network: Network) -> tuple[dict[tuple[str, str], float], dict[s
         cond[(u, v)] = cond.get((u, v), 0.0) + a
         if u != v:
             cond[(v, u)] = cond.get((v, u), 0.0) + a
-    return cond, _vertex_weights(cond)
-
-
-def _vertex_weights(cond: dict[tuple[str, str], float]) -> dict[str, float]:
     m: dict[str, float] = {}
     for (u, _), a in cond.items():
         m[u] = m.get(u, 0.0) + a
-    return m
+    return cond, m
 
 
 def from_network(network: Network) -> Chain:
@@ -346,14 +349,16 @@ def from_network(network: Network) -> Chain:
     Interior transition probabilities are conductances normalised by the
     vertex weight m(x) = sum of incident conductances; boundary rows are
     absorbing.  The result is reversible on the interior:
-    m(x) p(x,y) = m(y) p(y,x).
+    m(x) p(x,y) = m(y) p(y,x).  The network keeps the chain, so every
+    call returns the same one.
     """
-    return _network_chain(network, conductances(network)[0])
+    return network._walk[0]
 
 
-def _network_chain(network: Network, cond: dict[tuple[str, str], float]) -> Chain:
-    """:func:`from_network` from the network's conductance table."""
-    m = _vertex_weights(cond)
+def _network_chain(network: Network, cond: dict[tuple[str, str], float],
+                   m: dict[str, float]) -> Chain:
+    """:func:`from_network` from the network's conductance table and
+    vertex weights."""
     vertices = sorted(set(network.boundary) | set(m))
     index = {v: i for i, v in enumerate(vertices)}
     boundary_ids = set(network.boundary)

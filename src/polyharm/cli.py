@@ -88,8 +88,9 @@ class Report:
             return _from_json(self._digest(fh.read()), path, parse)
 
     def _digest(self, data: bytes) -> bytes:
-        """Record the digest of ``data`` and pass it on: held by no local,
-        the bytes are freed once decoded, before the parse peaks."""
+        """Record the digest of ``data`` and pass it on.  Held by no local
+        here, the bytes are freed by ``_from_json`` once decoded, before
+        the parse starts."""
         self.doc["input_digest"] = hashlib.sha256(data).hexdigest()
         return data
 

@@ -4,12 +4,20 @@ Complex scalars are two-element ``[re, im]`` arrays (bare numbers are
 accepted as reals); vectors over vertex sets are ``{id: value}`` maps,
 so ordering is never significant on the wire.  Interior transition rows
 are listed as explicit edges; boundary rows are implied absorbing.
+
+A chain file is parsed with an ``object_hook`` that turns each
+well-formed edge into a compact :class:`_Edge` record as soon as it is
+read, so a dense chain file never holds one dict per edge; the edges are
+then checked and indexed all at once, in numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
+from operator import itemgetter
+from sys import intern
 from typing import Any, Mapping
 
 import numpy as np
@@ -99,7 +107,40 @@ def jsonable(obj):
     return str(obj)
 
 
+class _Edge(tuple):
+    """A well-formed chain edge as read from a file: ``(from, to, p)``
+    with interned string ids (a dense chain names each vertex in many
+    edges) and a finite float ``p``.  Only :func:`_edge_record` makes
+    one, so a plain tuple in a caller's document is still no object."""
+
+    __slots__ = ()
+
+
+_EDGE_KEYS = ("from", "to", "p")
+
+
+def _edge_record(obj: dict):
+    """The ``object_hook`` of a chain file: an object with exactly the
+    keys ``from``, ``to`` and ``p``, string ids and a finite float ``p``
+    becomes an :class:`_Edge`; every other object stays a dict."""
+    if len(obj) == 3:
+        try:
+            u, v, p = obj["from"], obj["to"], obj["p"]
+        except KeyError:
+            return obj
+        # p - p is 0.0 for a finite float, NaN for an infinity or NaN
+        if type(u) is str and type(v) is str and type(p) is float and p - p == 0.0:
+            return _Edge((intern(u), intern(v), p))
+    return obj
+
+
+def _as_object(doc):
+    """An :class:`_Edge` back as the object it was read from."""
+    return dict(zip(_EDGE_KEYS, doc)) if type(doc) is _Edge else doc
+
+
 def _require(doc: Mapping, key: str, path: str):
+    doc = _as_object(doc)
     if key not in doc:
         raise FormatError(f"{path}: missing key {key!r}")
     return doc[key]
@@ -113,23 +154,59 @@ def _list(doc: Mapping, key: str, path: str) -> list:
 
 
 def _edges(doc: Mapping, path: str) -> list:
-    """The edge objects of a chain or network document."""
+    """The edge objects (dicts or :class:`_Edge` records) of a chain or
+    network document."""
     edges = _list(doc, "edges", path)
-    for i, e in enumerate(edges):
-        if not isinstance(e, dict):
-            raise FormatError(f"{path}: edge {i} must be an object, got {e!r}")
+    if not set(map(type, edges)) <= {_Edge, dict}:
+        for i, e in enumerate(edges):
+            if not isinstance(e, (_Edge, dict)):
+                raise FormatError(f"{path}: edge {i} must be an object, got {e!r}")
     return edges
+
+
+def _loose_edge(e: Mapping) -> tuple:
+    """``(from, to, p)`` of a dict edge, for the checks that run on all
+    edges at once: an id is None where its key is missing, and ``p`` is
+    NaN where it is missing or not a finite number."""
+    u, v = (str(e[k]) if k in e else None for k in ("from", "to"))
+    try:
+        p = _real(e.get("p"))
+    except FormatError:
+        p = math.nan
+    return u, v, p
+
+
+def _refuse_edge(e, i: int, index: Mapping, boundary_set: set, path: str):
+    """Raise the refusal of edge ``i``, which failed a check: its ids,
+    then their vertices, then ``p``, in the order an edge reports them."""
+    u, v = str(_require(e, "from", path)), str(_require(e, "to", path))
+    if u not in index or v not in index:
+        raise FormatError(f"{path}: edge {u!r}->{v!r} uses unknown vertex")
+    if u in boundary_set:
+        raise FormatError(f"{path}: boundary vertex {u!r} must not have explicit edges")
+    _real(_require(e, "p", path), path, ": edge ", i, ": 'p': ")
+    raise AssertionError(f"{path}: edge {i} passes its checks")
+
+
+def _indices(ids, index: Mapping, count: int) -> np.ndarray:
+    """The index of each id, -1 where it names no vertex."""
+    return np.fromiter(map(index.get, ids, repeat(-1)), np.intp, count)
 
 
 def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
     """A chain from its parsed JSON document; network documents (edges
-    carrying ``a``) are converted through their random-walk chain."""
+    carrying ``a``) are converted through their random-walk chain.
+
+    The edges are checked all at once: :class:`_Edge` records as they
+    are, dict edges through :func:`_loose_edge`.  The first edge that
+    fails a check is reported, as if the edges were read one by one."""
+    doc = _as_object(doc)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     edges = doc.get("edges")
     if isinstance(edges, list) and edges and isinstance(edges[0], dict) and "a" in edges[0]:
         return from_network(network_from_doc(doc, path))
-    vertices = [str(v) for v in _list(doc, "vertices", path)]
+    vertices = [intern(str(v)) for v in _list(doc, "vertices", path)]
     boundary_set = {str(w) for w in _list(doc, "boundary", path)}
     index = {v: i for i, v in enumerate(vertices)}
     n = len(index)
@@ -139,16 +216,20 @@ def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
     unknown = boundary_set - index.keys()
     if unknown:
         raise FormatError(f"{path}: boundary ids not in the vertex list: {sorted(unknown)}")
-    rows, cols, ps = [], [], []
-    for i, e in enumerate(_edges(doc, path)):
-        u, v = str(_require(e, "from", path)), str(_require(e, "to", path))
-        if u not in index or v not in index:
-            raise FormatError(f"{path}: edge {u!r}->{v!r} uses unknown vertex")
-        if u in boundary_set:
-            raise FormatError(f"{path}: boundary vertex {u!r} must not have explicit edges")
-        rows.append(index[u])
-        cols.append(index[v])
-        ps.append(_real(_require(e, "p", path), path, ": edge ", i, ": 'p': "))
+    raw = _edges(doc, path)
+    edges = raw
+    if not set(map(type, raw)) <= {_Edge}:
+        edges = [e if type(e) is _Edge else _loose_edge(e) for e in raw]
+    m = len(edges)
+    rows = _indices(map(itemgetter(0), edges), index, m)
+    cols = _indices(map(itemgetter(1), edges), index, m)
+    ps = np.fromiter(map(itemgetter(2), edges), float, m)
+    from_boundary = np.zeros(n + 1, dtype=bool)  # the extra entry is row -1's
+    from_boundary[[index[w] for w in boundary_set]] = True
+    bad = (rows < 0) | (cols < 0) | from_boundary[rows] | ~np.isfinite(ps)
+    if bad.any():
+        i = int(bad.argmax())
+        _refuse_edge(raw[i], i, index, boundary_set, path)
     trans = np.zeros((n, n))
     np.add.at(trans, (rows, cols), ps)  # parallel edges add up, in file order
     for w in boundary_set:
@@ -166,11 +247,17 @@ def network_from_doc(doc: Mapping, path: str = "network") -> Network:
 
 
 def _from_json(data, path: str, parse):
-    """``parse(doc, path)`` of the JSON document in ``data``.  A document
+    """``parse(doc, path)`` of the JSON document in ``data``, text or
+    bytes (decoded as :func:`json.loads` would).  The bytes are freed
+    once decoded and the text once parsed, when no caller keeps them; a
+    chain file is parsed through :func:`_edge_record`.  A document
     nested too deeply for Python's recursion limit is malformed input."""
+    if isinstance(data, bytes):
+        data = data.decode(json.detect_encoding(data), "surrogatepass")
+    hook = _edge_record if parse is chain_from_doc else None
     try:
-        doc = json.loads(data)
-        del data  # the text, when no caller keeps it, is freed before the parse
+        doc = json.loads(data, object_hook=hook)
+        del data
         return parse(doc, path)
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None

@@ -156,10 +156,9 @@ def _walk(chain: Chain, config: SimConfig):
     """Walk every trial until absorption or ``max_steps``; the absorption
     counts, the censored count and the per-step occupancy rows."""
     n = chain.n
-    nb = len(chain.boundary)
     boundary = list(chain.boundary)
-    boundary_col = np.full(n, -1, dtype=np.int64)
-    boundary_col[boundary] = np.arange(nb)
+    interior = np.zeros(n, dtype=bool)
+    interior[list(chain.interior)] = True
     table = _support_table(chain.trans)
     stream = _Stream(config.seed)
 
@@ -167,7 +166,7 @@ def _walk(chain: Chain, config: SimConfig):
     ids = np.arange(config.trials)
     pos = np.full(config.trials, chain.vertex_index(config.start), dtype=np.int64)
     # counts[j] is also the number of absorbed trials sitting at boundary j
-    counts = np.zeros(nb, dtype=np.int64)
+    counts = np.zeros(len(boundary), dtype=np.int64)
     occupancy_rows = [np.bincount(pos, minlength=n)]
 
     step = 0
@@ -176,15 +175,15 @@ def _walk(chain: Chain, config: SimConfig):
         first = int(ids[0])
         u = stream.uniforms((step - 1) * config.trials + first, ids - first)
         pos = _next_vertex(*table, pos, u)
-        col = boundary_col[pos]
-        hit = col >= 0
-        first_hits = np.bincount(col[hit], minlength=nb)
+        # every trial was live before the step: those now on the boundary
+        # are its first hits, and leave the live set
+        occ = np.bincount(pos, minlength=n)
+        first_hits = occ[boundary]
         if first_hits.any():
             counts += first_hits
-            live = ~hit
+            live = interior[pos]
             ids, pos = ids[live], pos[live]
-        occ = np.bincount(pos, minlength=n)
-        occ[boundary] += counts
+        occ[boundary] = counts
         occupancy_rows.append(occ)
 
     return counts, int(ids.size), np.vstack(occupancy_rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import _delta_power
-from .chain import Chain, Network, _network_chain, conductances
+from .chain import Chain, Network
 from .errors import (
     IllConditioned,
     NotAnEigenvalue,
@@ -308,8 +308,7 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
         raise TypeError("network_spectrum_check needs a Network, "
                         f"got {type(network).__name__}")
     _check_cluster_tol(cluster_tol)
-    cond, m = conductances(network)
-    ch = _network_chain(network, cond)
+    ch, m = network._walk
     p_int = ch.p_int
     d = np.sqrt([m[x] for x in ch.interior_ids])
     sym = (d[:, None] * p_int) / d[None, :]

@@ -10,6 +10,7 @@ from polyharm import (
     build_network,
     build_tree,
     eigenvalues,
+    from_network,
     global_polyharmonic_basis,
     interior_spectrum,
     jordan_basis,
@@ -386,27 +387,49 @@ def test_network_check_builds_the_conductance_table_once(monkeypatch):
         return real(network)
 
     monkeypatch.setattr(chainmod, "conductances", counting)
-    monkeypatch.setattr(spectral, "conductances", counting)
     rep = network_spectrum_check(_path_network(7))
     assert calls[0] == 1
     assert sum(rep.alg_mults) == 5
 
 
-def _cornerless_grid_network(m):
+def test_network_keeps_its_chain_across_checks(monkeypatch):
+    from polyharm import chain as chainmod
+
+    real, calls = chainmod.build_chain, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chainmod, "build_chain", counting)
+    net = _path_network(7)
+    first, second = network_spectrum_check(net), network_spectrum_check(net)
+    assert calls[0] == 1
+    assert first.chain is second.chain is from_network(net)
+    assert calls[0] == 1
+    assert first.spectrum == second.spectrum
+    assert first.symmetry_deviation == second.symmetry_deviation
+    assert first.geo_mults == second.geo_mults and first.alg_mults == second.alg_mults
+
+
+def _cornerless_grid_network(m, rng=None):
+    """The m x m grid without its corners, boundary its outer ring, with
+    unit conductances or, given ``rng``, conductances in U[0.5, 2]."""
     corners = {(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1)}
     cells = {(i, j) for i in range(m) for j in range(m)} - corners
-    edges = [(f"g{i}_{j}", f"g{i + di}_{j + dj}", 1.0) for i, j in sorted(cells)
+    pairs = [((i, j), (i + di, j + dj)) for i, j in sorted(cells)
              for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in cells]
+    conductances = np.ones(len(pairs)) if rng is None else rng.uniform(0.5, 2.0, len(pairs))
+    edges = [(f"g{i}_{j}", f"g{k}_{l}", float(a))
+             for ((i, j), (k, l)), a in zip(pairs, conductances)]
     boundary = [f"g{i}_{j}" for i, j in cells if i in (0, m - 1) or j in (0, m - 1)]
     return build_network(edges, boundary)
 
 
-@pytest.mark.parametrize("net", [_path_network(30), _cornerless_grid_network(8)],
-                         ids=["path30", "grid8"])
-def test_network_spectrum_unit_conductances(net):
-    rep = network_spectrum_check(net)
+def _assert_spectrum_of_symmetrised_block(net, rep):
+    """The certified spectrum against ``eigvalsh`` of the interior block
+    symmetrised by the square roots of the vertex weights."""
     assert rep.geo_mults == rep.alg_mults
-    # oracle: the block symmetrised by sqrt of the vertex weights
     weight = {}
     for u, v, a in net.edges:
         weight[u] = weight.get(u, 0.0) + a
@@ -416,6 +439,26 @@ def test_network_spectrum_unit_conductances(net):
     got = np.repeat([z.real for z in rep.spectrum.eigenvalues], rep.alg_mults)
     assert got.size == want.size
     assert np.abs(np.sort(got) - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("net", [_path_network(30), _cornerless_grid_network(8)],
+                         ids=["path30", "grid8"])
+def test_network_spectrum_unit_conductances(net):
+    _assert_spectrum_of_symmetrised_block(net, network_spectrum_check(net))
+
+
+@pytest.mark.parametrize("seed", [None, 22], ids=["unit", "random"])
+def test_network_spectrum_at_interior_400(seed):
+    """The 22 x 22 grid without corners: interior 400.  With unit
+    conductances P_int is a quarter of the 20 x 20 grid's adjacency, whose
+    eigenvalue 0 has multiplicity 20."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    net = _cornerless_grid_network(22, rng)
+    rep = network_spectrum_check(net)
+    assert len(rep.chain.interior) == 400
+    _assert_spectrum_of_symmetrised_block(net, rep)
+    if seed is None:
+        assert max(rep.alg_mults) == 20
 
 
 @pytest.mark.parametrize("net", [_path_network(30), _cornerless_grid_network(8), _four_pendants()],
@@ -760,15 +803,12 @@ def _weighted_path():
 
 
 def test_network_check_refuses_an_asymmetric_block(monkeypatch):
-    real = spectral.conductances
-
-    def skewed(network):
-        cond, m = real(network)
-        return cond, {**m, "p4": m["p4"] * (1 + 1e-6)}
-
-    monkeypatch.setattr(spectral, "conductances", skewed)
+    net = _weighted_path()
+    chain, m = net._walk
+    # the network's chain as it is, the weights it symmetrises by skewed
+    monkeypatch.setitem(net.__dict__, "_walk", (chain, {**m, "p4": m["p4"] * (1 + 1e-6)}))
     with pytest.raises(ReportedViolation, match="deviates from symmetry"):
-        network_spectrum_check(_weighted_path())
+        network_spectrum_check(net)
 
 
 def test_network_check_refuses_an_inexact_eigenvector():
