@@ -7,13 +7,11 @@ started at x is absorbed at w.  :func:`green` only factors
 lam I - P_int; F and G are formed from that LU when first read.  The
 chain keeps its latest factorisation, with F and G once formed, so
 every solver called on the same chain and lam shares one LU (and one
-F), across calls.  The Dirichlet problem is one solve on it, the
-order-n Riquier tower n, and the tower is checked by products with
-P_int and Q, never with the LU.  Those real blocks multiply complex
-vectors in real arithmetic (:func:`real_matmul`), never copied to
-complex.  Besides its LU a chain keeps only layouts, each formed on its
-first use: P_int and Q, the rows :meth:`Chain.embed` writes through, and
-the n-th interior (ids and rows) of each order n asked for.
+F), across calls.  The order-n Riquier tower is n solves on it, checked
+by products with P_int and Q, never with the LU; the Dirichlet problem
+is the tower of order 1, with the same solve and the same check.  Those
+real blocks multiply complex vectors in real arithmetic
+(:func:`real_matmul`), never copied to complex.
 """
 
 from __future__ import annotations
@@ -22,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, boundary_vector, full_vector, nth_interior, nth_layout
+from .chain import Chain, boundary_vector, full_vector, nth_layout
 from .errors import ConsistencyError, LambdaInSpectrum, Singular, TowerMismatch
 from .linalg import LUFactorization, lu_factor, real_matmul
 
 RESIDUAL_RTOL = 1e-9
 TOWER_TOL = 1e-8
+UNDERFLOW = 2.0 ** -1074  # the subnormal spacing: the error of one underflow
 
 
 def _scale(lam: complex, n: int, *vectors: np.ndarray) -> float:
@@ -155,10 +154,13 @@ class Solution:
     """Solved boundary-value problem.
 
     ``values`` lives on all of X with the first boundary function copied
-    verbatim onto the boundary.  ``residuals`` holds per-vertex absolute
-    residuals of the defining equations (max over tower stages for
-    Riquier solutions); ``nth_interior`` lists the vertices where the
-    order-n operator was verified to annihilate the solution.
+    verbatim onto the boundary.  ``tower`` holds the stages f_n .. f_1 of
+    a :func:`solve_riquier` solution on all of X, each with its g_r on
+    the boundary (one stage for a Dirichlet solution, None for a solution
+    formed otherwise).  ``residuals`` holds per-vertex absolute residuals
+    of the defining equations (for a tower, the max over its stages);
+    ``nth_interior`` lists the vertices where the order-n operator was
+    verified to annihilate the solution.
     ``min_pivot_ratio`` is the LU's smallest pivot over max|lam I - P_int|
     (see :attr:`GreenMatrix.min_pivot_ratio`).
     """
@@ -189,27 +191,11 @@ class Solution:
 
 
 def solve_dirichlet(chain: Chain, lam: complex, g) -> Solution:
-    """Unique lam-harmonic extension of the boundary data ``g``.
-
-    Interior values are G(lam) Q g, one solve on the LU; the boundary
-    values are copied, not solved, so the boundary condition holds
-    exactly.
-    """
-    gv = boundary_vector(chain, g)
-    gm = green(chain, lam)
-    p, q = chain.p_int, chain.q
-    h_int = gm.apply_green(real_matmul(q, gv))
-    values = chain.embed(h_int, gv)
-    return Solution(
-        chain=chain,
-        lam=complex(lam),
-        order=1,
-        values=values,
-        residuals=chain.embed(np.abs(_delta_power(p, q, lam, h_int, gv, 1))),
-        nth_interior=nth_interior(chain, 1),
-        tol=residual_tol(lam, values),
-        min_pivot_ratio=gm.min_pivot_ratio,
-    )
+    """Unique lam-harmonic extension of the boundary data ``g``: the
+    order-1 tower ``solve_riquier(RiquierProblem(lam, (g,)), chain)``, one
+    solve under the tower's check; the boundary values are copied, so the
+    boundary condition holds exactly."""
+    return solve_riquier(RiquierProblem(lam, (g,)), chain)
 
 
 def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
@@ -224,10 +210,14 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
       row by row over |lam| |f_r| + P_int |f_r| + Q |g_r| + |f_{r+1}|
       (the componentwise backward error of Oettli and Prager; Higham,
       *Accuracy and Stability of Numerical Algorithms*, Thm 7.3), at most
-      ``TOWER_TOL``;
+      ``TOWER_TOL``.  A row with |e| <= (1 + |lam|) k ``UNDERFLOW``
+      (k interior vertices) counts as exact: k terms, each off by one
+      subnormal spacing and weighted by at most 1 + |lam|, leave that
+      much, and for |lam| > 1 it moves f_r by a few spacings only;
     - Delta_lam^n of the solution on the n-th interior, at most
       ``TOWER_TOL`` (1 + |lam|)^n max(1, max|f_r|, max|g_r|): the scale
       of :func:`residual_tol` with one factor 1 + |lam| per application.
+      At n = 1 that residual is the stage residual, not formed again.
 
     ``residuals`` holds the largest |e| per vertex over the stages.
     """
@@ -236,24 +226,30 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     n = len(gs)
     gm = green(chain, lam)
     p, q = chain.p_int, chain.q
+    k = len(chain.interior)
+    # k * UNDERFLOW first: (1 + |lam|) k may be past the float range
+    underflow = (1.0 + abs(lam)) * (k * UNDERFLOW)
 
     stages: list[np.ndarray] = []  # f_n .. f_1 on the interior
-    above = np.zeros(len(chain.interior), dtype=complex)  # f_{r+1}; none above f_n
-    stage_res = np.zeros(len(chain.interior))
+    above = np.zeros(k, dtype=complex)  # f_{r+1}; none above f_n
+    stage_res = np.zeros(k)
     backward = 0.0
     for g_r in reversed(gs):
         f_r = gm.apply_green(real_matmul(q, g_r) + above)
         res = np.abs(_delta_power(p, q, lam, f_r, g_r, 1) - above)
-        bound = abs(lam) * np.abs(f_r) + p @ np.abs(f_r) + q @ np.abs(g_r) + np.abs(above)
-        # a zero bound means every term of that row is exactly zero
-        ratio = np.divide(res, bound, out=np.zeros_like(res), where=bound > 0)
+        mod = np.abs(f_r)
+        bound = abs(lam) * mod + p @ mod + q @ np.abs(g_r) + np.abs(above)
+        # bound >= res > 0 on every row divided; the others count as exact
+        ratio = np.divide(res, bound, out=np.zeros_like(res), where=res > underflow)
         backward = max(backward, float(ratio.max()))
         stage_res = np.maximum(stage_res, res)
         stages.append(f_r)
         above = f_r
 
     inner, rows = nth_layout(chain, n)
-    top_res = chain.embed(np.abs(_delta_power(p, q, lam, stages[-1], gs[0], n)))
+    residuals = chain.embed(stage_res)
+    top_res = residuals if n == 1 else chain.embed(
+        np.abs(_delta_power(p, q, lam, stages[-1], gs[0], n)))
     top = float(top_res[rows].max(initial=0.0))
     lim_top = TOWER_TOL * _scale(lam, n, *stages, *gs)
     if backward > TOWER_TOL or top > lim_top:
@@ -268,7 +264,7 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
         lam=complex(lam),
         order=n,
         values=values,
-        residuals=chain.embed(stage_res),
+        residuals=residuals,
         nth_interior=inner,
         tol=residual_tol(lam, values),
         tower=[chain.embed(f_r, g_r) for f_r, g_r in zip(stages, reversed(gs))],

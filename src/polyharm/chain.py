@@ -69,10 +69,8 @@ class Chain:
         Fewest steps from each vertex to the boundary, in vertex order.
     p_int, q : ndarray
         The interior block of ``trans`` and the interior-to-boundary
-        coupling, read-only, each formed on first read.  Each is a view
-        sharing memory with ``trans`` when its rows and its columns are
-        one contiguous run of indices (interior listed before boundary,
-        or after it), and a copy otherwise.
+        coupling, read-only, each formed on first read: a view of
+        ``trans`` when both its layouts below are slices, a copy otherwise.
     interior_rows, boundary_rows : slice or ndarray
         Each part's rows, formed on first read: a slice when the part is
         one contiguous run of indices, a read-only index array otherwise.
@@ -110,12 +108,12 @@ class Chain:
     @cached_property
     def p_int(self) -> np.ndarray:
         """Interior block P_int: transitions between interior vertices."""
-        return _block(self.trans, self.interior, self.interior)
+        return _block(self.trans, self.interior_rows, self.interior_rows)
 
     @cached_property
     def q(self) -> np.ndarray:
         """Coupling Q: transitions from interior to boundary vertices."""
-        return _block(self.trans, self.interior, self.boundary)
+        return _block(self.trans, self.interior_rows, self.boundary_rows)
 
     @cached_property
     def interior_rows(self) -> slice | np.ndarray:
@@ -173,14 +171,14 @@ def _rows(idx: tuple[int, ...]) -> slice | np.ndarray:
     return out
 
 
-def _block(trans: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """``trans`` restricted to ``rows`` x ``cols`` (each ascending),
-    read-only: a basic-slice view when both are one contiguous run of
-    indices, a copy otherwise."""
-    if rows[-1] - rows[0] + 1 == len(rows) and cols[-1] - cols[0] + 1 == len(cols):
-        out = trans[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+def _block(trans: np.ndarray, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+    """``trans`` restricted to ``rows`` x ``cols``, two layouts from
+    :func:`_rows`, read-only: a view when both are slices, a C-order copy
+    otherwise."""
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        out = trans[rows, cols]
     else:
-        out = trans[np.ix_(rows, cols)]
+        out = trans[np.ix_(np.r_[rows], np.r_[cols])]
     out.setflags(write=False)
     return out
 

@@ -153,6 +153,13 @@ def _list(doc: Mapping, key: str, path: str) -> list:
     return val
 
 
+def _id(v, path: str) -> str:
+    """A vertex id: a JSON string, never a number, object or list."""
+    if not isinstance(v, str):
+        raise FormatError(f"{path}: vertex id {_as_object(v)!r} is not a string")
+    return v
+
+
 def _edges(doc: Mapping, path: str) -> list:
     """The edge objects (dicts or :class:`_Edge` records) of a chain or
     network document."""
@@ -166,9 +173,9 @@ def _edges(doc: Mapping, path: str) -> list:
 
 def _loose_edge(e: Mapping) -> tuple:
     """``(from, to, p)`` of a dict edge, for the checks that run on all
-    edges at once: an id is None where its key is missing, and ``p`` is
-    NaN where it is missing or not a finite number."""
-    u, v = (str(e[k]) if k in e else None for k in ("from", "to"))
+    edges at once: an id is None unless it is a string, and ``p`` is NaN
+    where it is missing or not a finite number."""
+    u, v = (x if isinstance(x, str) else None for x in (e.get("from"), e.get("to")))
     try:
         p = _real(e.get("p"))
     except FormatError:
@@ -179,7 +186,7 @@ def _loose_edge(e: Mapping) -> tuple:
 def _refuse_edge(e, i: int, index: Mapping, boundary_set: set, path: str):
     """Raise the refusal of edge ``i``, which failed a check: its ids,
     then their vertices, then ``p``, in the order an edge reports them."""
-    u, v = str(_require(e, "from", path)), str(_require(e, "to", path))
+    u, v = (_id(_require(e, k, path), path) for k in ("from", "to"))
     if u not in index or v not in index:
         raise FormatError(f"{path}: edge {u!r}->{v!r} uses unknown vertex")
     if u in boundary_set:
@@ -206,8 +213,8 @@ def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
     edges = doc.get("edges")
     if isinstance(edges, list) and edges and isinstance(edges[0], dict) and "a" in edges[0]:
         return from_network(network_from_doc(doc, path))
-    vertices = [intern(str(v)) for v in _list(doc, "vertices", path)]
-    boundary_set = {str(w) for w in _list(doc, "boundary", path)}
+    vertices = [intern(str(_id(v, path))) for v in _list(doc, "vertices", path)]
+    boundary_set = {_id(w, path) for w in _list(doc, "boundary", path)}
     index = {v: i for i, v in enumerate(vertices)}
     n = len(index)
     if n != len(vertices):
@@ -239,11 +246,11 @@ def chain_from_doc(doc: Mapping, path: str = "chain") -> Chain:
 
 
 def network_from_doc(doc: Mapping, path: str = "network") -> Network:
-    boundary = _list(doc, "boundary", path)
-    parsed = [(str(_require(e, "u", path)), str(_require(e, "v", path)),
+    boundary = [_id(w, path) for w in _list(doc, "boundary", path)]
+    parsed = [(_id(_require(e, "u", path), path), _id(_require(e, "v", path), path),
                _real(_require(e, "a", path), path, ": edge ", i, ": 'a': "))
               for i, e in enumerate(_edges(doc, path))]
-    return build_network(parsed, [str(w) for w in boundary])
+    return build_network(parsed, boundary)
 
 
 def _from_json(data, path: str, parse):

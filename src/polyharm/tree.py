@@ -10,8 +10,8 @@ closed forms in the depth, the distance and the masses.  Those closed
 forms are the independent oracles against which the general dense
 solvers are validated.
 
-A section is validated once per tree and sequence of ids, in one
-breadth-first pass that records the restriction's interior and boundary.
+A section is validated in one breadth-first pass that records the
+restriction's interior and boundary, and the tree keeps the last record.
 That record is the domain of every closed form on the section and the
 vertex layout of :func:`restrict_to_section`, so the two cannot differ.
 It also holds each of its vertices' preorder interval, depth and mass,
@@ -52,6 +52,7 @@ def binomial(a: int, k: int) -> int:
 
 
 _NO_LAST = (object(), None, None)  # no caller's section is this object
+_SNAPSHOTS = (list, tuple, set, frozenset)  # copy by constructor, == is a bool
 
 
 @dataclass(eq=False)
@@ -63,11 +64,8 @@ class ForwardTree:
     measure and the equivalent forward probabilities are kept, and each
     vertex's preorder interval ``[tin, tout)``: the preorder numbers of
     its subtree, so ancestry is one comparison.  The tree is not changed
-    after :func:`build_tree`, so the sections it has accepted are
-    remembered by their set of ids and not walked again.  The last
-    section accepted as a ``list`` is also kept with a copy of its ids: a
-    call that passes that same list object, with contents still equal to
-    the copy, skips the lookup by ids.
+    after :func:`build_tree`, so it keeps the record of the last section
+    it accepted (see :func:`_check_section`).
     """
 
     root: str
@@ -79,9 +77,7 @@ class ForwardTree:
     forward_p: dict[str, float] = field(repr=False)  # p(parent(x), x), x != root
     max_depth: int = 0
     _interval: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
-    # accepted sections, keyed by their set of ids
-    _sections: dict[frozenset, "_Section"] = field(default_factory=dict, init=False, repr=False)
-    # (list, copy of its ids, record) of the last section accepted as a list
+    # (section, snapshot copy of it, record) of the last section accepted
     _last: tuple = field(default=_NO_LAST, init=False, repr=False)
 
     def is_ancestor(self, x: str, y: str) -> bool:
@@ -262,19 +258,20 @@ _Section = namedtuple("_Section", "interior inner boundary ids")
 
 
 def _check_section(tree: ForwardTree, section: Collection[str]) -> _Section:
-    """The record of an accepted section: from the last-list memo, else
-    by its ids, else from a new walk; the record fixes the domain of
-    every closed form on that section.  The two per-entry closed forms
-    test the memo inline, and call this only when it misses."""
+    """The record of an accepted section, the domain of every closed form
+    on it.  The tree keeps one, with the last section accepted as a list,
+    tuple, set or frozenset and a snapshot copy: that object unchanged gets
+    it at once (as the per-entry closed forms test inline), the same ids
+    after one set comparison; any other section is walked and replaces it."""
     last = tree._last
     if section is last[0] and section == last[1]:
         return last[2]
     key = frozenset(section)
-    rec = tree._sections.get(key)
-    if rec is None:  # a rejected section raises here on every call
-        rec = tree._sections[key] = _walk_section(tree, key)
-    if type(section) is list:
-        tree._last = (section, list(section), rec)
+    rec = last[2]
+    if rec is None or rec.ids.keys() != key:  # a rejected section raises on every call
+        rec = _walk_section(tree, key)
+    if type(section) in _SNAPSHOTS:
+        tree._last = (section, type(section)(section), rec)
     return rec
 
 

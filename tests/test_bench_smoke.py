@@ -212,31 +212,11 @@ def test_bench_riquier_rounds_share_the_panel_inverses(tmp_path, monkeypatch):
 
 
 def test_bench_riquier_rounds_hit_the_last_section(tmp_path, monkeypatch):
-    """Every closed-form call of a round passes the same section list as
-    the restriction made at set-up, so no call looks the section up by
-    its ids."""
-    calls, build = [0], polyharm.build_tree
-
-    class CountingSections(dict):
-        def __contains__(self, key):
-            calls[0] += 1
-            return super().__contains__(key)
-
-        def __getitem__(self, key):
-            calls[0] += 1
-            return super().__getitem__(key)
-
-        def get(self, key, default=None):
-            calls[0] += 1
-            return super().get(key, default)
-
-    def counting_build(*args, **kwargs):
-        tree = build(*args, **kwargs)
-        tree._sections = CountingSections()
-        return tree
-
-    monkeypatch.setattr(polyharm, "build_tree", counting_build)
-    assert _per_riquier_round(tmp_path, monkeypatch, calls) == [0, 0]
+    """Every closed-form call of a round passes the section whose
+    restriction was made at set-up, which each tree keeps, so no round
+    walks a section."""
+    assert _calls_per_riquier_round(tmp_path, monkeypatch, polyharm.tree,
+                                    "_walk_section") == [0, 0]
 
 
 def test_bench_riquier_rounds_keep_the_nth_interiors(tmp_path, monkeypatch):

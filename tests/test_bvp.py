@@ -21,7 +21,7 @@ from polyharm import (
 from polyharm.errors import ConsistencyError, LambdaInSpectrum, TowerMismatch
 from polyharm.linalg import PIVOT_RTOL, LUFactorization
 
-from conftest import oracle_problems, random_chain, random_resolvent_point
+from conftest import oracle_problems, random_chain, random_resolvent_point, tower_oracle
 
 
 # ----------------------------------------------------------------- green
@@ -253,6 +253,76 @@ def test_riquier_checks_catch_lu_faults(monkeypatch, fault, size, order):
         solve_riquier(RiquierProblem(1.4 + 0.2j, gs), c)
 
 
+def _forward_path(k, stay=0.5):
+    """x0 -> x1 -> ... -> x{k-1} -> w, each step taken with probability
+    1 - stay.  At a large lam the tower's entries fall like lam^-d with
+    the distance d to w, so deep in the path they pass below the float
+    range: subnormal, then zero."""
+    names = [f"x{i}" for i in range(k)] + ["w"]
+    trans = np.eye(k + 1) * stay
+    trans[k, k] = 1.0
+    trans[np.arange(k), np.arange(1, k + 1)] = 1.0 - stay
+    return build_chain(names, names[:-1], ["w"], trans)
+
+
+@pytest.mark.parametrize("k, lam", [(40, 1e8), (40, 1e10), (20, 1e20), (10, 1e40)])
+def test_towers_whose_entries_underflow_are_accepted(k, lam):
+    """A stage residual that underflow alone explains is no backward
+    error: every order and Dirichlet are accepted, and match the oracle
+    entry by entry wherever its value is a normal float."""
+    c = _forward_path(k)
+    g = np.array([1.0 - 0.5j])
+    for gs in ((g,), (g, -2.0 * g)):
+        want = tower_oracle(c, lam, gs)
+        sols = [solve_riquier(RiquierProblem(lam, gs), c)]
+        if len(gs) == 1:
+            sols.append(solve_dirichlet(c, lam, g))
+        for sol in sols:
+            assert oracle_problems(sol, c, lam, gs) == []
+            for r, full in zip(range(len(gs), 0, -1), sol.tower):
+                got, ref = full[c.interior_rows], want[r - 1]
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 2.0 ** -1000)
+            assert sol.value("x0") == 0 and sol.value(f"x{k - 1}") != 0
+
+
+@pytest.mark.parametrize("size, lam", [(4, 1e300), (300, 1e306)])
+def test_dirichlet_refuses_a_solve_that_returns_zeros(monkeypatch, p4, size, lam):
+    """At a large lam the tower's check is the one that still sees a
+    wrong answer: all-zero interior values fail it, also where (1 + |lam|)
+    times the interior size is past the float range."""
+    c = p4 if size == 4 else random_chain(np.random.default_rng(size), size=size)
+    assert size == 4 or (1.0 + lam) * len(c.interior) == float("inf")
+    g = np.zeros(len(c.boundary), dtype=complex)
+    g[0] = 1.0
+    monkeypatch.setattr(LUFactorization, "solve",
+                        lambda self, b: np.zeros(np.shape(b), dtype=complex))
+    with pytest.raises(TowerMismatch, match="stage backward error 1.000e"):
+        solve_dirichlet(c, lam, g)
+
+
+def test_dirichlet_is_the_order1_tower_bit_for_bit():
+    c, gs = _random_problem(23, size=150)
+    for lam in (1.0, -1.2 + 0.7j, 3e5j):
+        a = solve_dirichlet(c, lam, gs[0])
+        b = solve_riquier(RiquierProblem(lam, (gs[0],)), c)
+        assert (a.lam, a.order, a.tol, a.nth_interior, a.min_pivot_ratio) == \
+            (b.lam, b.order, b.tol, b.nth_interior, b.min_pivot_ratio)
+        assert len(a.tower) == len(b.tower) == 1
+        for x, y in zip((a.values, a.residuals, *a.tower), (b.values, b.residuals, *b.tower)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order, powers", [(1, [1]), (3, [1, 1, 1, 3])])
+def test_the_tower_applies_each_operator_power_once(monkeypatch, p4, order, powers):
+    """One order-1 residual per stage, and the order-n one only for
+    n > 1: at order 1 it is the stage residual."""
+    real, calls = bvp._delta_power, []
+    monkeypatch.setattr(bvp, "_delta_power", lambda *a: calls.append(a[-1]) or real(*a))
+    g = np.array([0.3 + 0.2j, -1.0])
+    solve_riquier(RiquierProblem(1.5, (g,) * order), p4)
+    assert calls == powers
+
+
 def test_min_pivot_ratio_tracks_distance_to_spectrum():
     c = random_chain(np.random.default_rng(0), size=300)
     p_int = c.trans[np.ix_(c.interior, c.interior)]
@@ -411,8 +481,9 @@ def test_shared_results_match_a_fresh_chain_bit_for_bit():
     shared = [r for _ in range(2) for r in _every_solver(lambda: c, lam, gs, origin)]
     fresh = _every_solver(lambda: _random_problem(21, size=120)[0], lam, gs, origin)
     got, want = list(_arrays(shared)), 2 * list(_arrays(fresh))
-    # values and residuals of 5 solutions, 1 + 2 + 3 tower stages, K, 2 kernel orders
-    assert len(got) == len(want) == 2 * (10 + 6 + 3)
+    # values and residuals of 5 solutions, 1 + 1 + 2 + 3 tower stages (Dirichlet's
+    # one first), K, 2 kernel orders
+    assert len(got) == len(want) == 2 * (10 + 7 + 3)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

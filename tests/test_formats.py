@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polyharm.cli import main
 from polyharm.formats import FormatError, chain_from_doc, load_chain
 
 
@@ -91,3 +92,32 @@ def test_an_edge_shaped_top_level_is_a_chain_without_vertices(tmp_path):
     path = _write(tmp_path, {"from": "a", "to": "b", "p": 0.5})
     with pytest.raises(FormatError, match="missing key 'vertices'"):
         load_chain(path)
+
+
+_EDGES = [{"from": "a", "to": "w1", "p": 0.5}, {"from": "a", "to": "b", "p": 0.5},
+          {"from": "b", "to": "a", "p": 0.5}, {"from": "b", "to": "w2", "p": 0.5}]
+_OBJECT_ID = {"vertices": ["w1", {"x": 1}, "b", "w2"], "boundary": ["w1", "w2"],
+              "edges": [{**e, **{k: {"x": 1} for k in ("from", "to") if e[k] == "a"}}
+                        for e in _EDGES]}
+_NUMERIC_IDS = {"vertices": [0, 1, 2, 3], "boundary": [0, 3],
+                "edges": [{"from": 1, "to": 0, "p": 0.5}, {"from": 1, "to": 2, "p": 0.5},
+                          {"from": 2, "to": 1, "p": 0.5}, {"from": 2, "to": 3, "p": 0.5}]}
+
+
+@pytest.mark.parametrize("doc, value", [
+    (_OBJECT_ID, "{'x': 1}"),
+    (_NUMERIC_IDS, "0"),
+    ({**_P4, "vertices": ["w1", "1", "b", "w2"],
+      "edges": [{"from": 1, "to": "w1", "p": 0.5}, *_EDGES[1:]]}, "1"),
+    ({**_P4, "boundary": ["w1", None], "edges": _EDGES}, "None"),
+    ({"boundary": ["w1", "w2"], "edges": [{"u": "w1", "v": "a", "a": 1.0},
+                                          {"u": "a", "v": 2, "a": 1.0}]}, "2"),
+    ({"boundary": [["w1"]], "edges": [{"u": "w1", "v": "a", "a": 1.0}]}, "['w1']"),
+], ids=["object-vertex", "numeric-ids", "numeric-endpoint", "null-boundary",
+        "network-endpoint", "network-boundary"])
+def test_a_vertex_id_that_is_not_a_string_is_refused(doc, value, tmp_path, capsys):
+    """Ids are JSON strings: any other value in ``vertices``, ``boundary``
+    or at an edge end is an input error naming the file and the value."""
+    path = _write(tmp_path, doc)
+    assert main(["--json", "validate", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: vertex id {value} is not a string\n"

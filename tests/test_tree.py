@@ -334,7 +334,21 @@ def test_section_orderings_share_one_record():
     t, sec = _binary_tree(rng, 8)
     recs = {id(treemod._check_section(t, [sec[i] for i in rng.permutation(len(sec))]))
             for _ in range(50)}
-    assert len(recs) == 1 and len(t._sections) == 1
+    assert len(recs) == 1
+
+
+def test_the_tree_keeps_one_section_record(monkeypatch):
+    """Only the last section's record is kept: the same ids in any order
+    or collection type reuse it, another section replaces it, and going
+    back to the first section walks that one again."""
+    t, sec = _binary_tree(np.random.default_rng(143), 3)
+    other = [v for v in t.vertices if t.depth[v] == 2]
+    walk, walks = treemod._walk_section, []
+    monkeypatch.setattr(treemod, "_walk_section",
+                        lambda tree, key: walks.append(key) or walk(tree, key))
+    for s in (sec, sec[::-1], tuple(sec), set(sec), frozenset(sec), other, list(other), sec):
+        assert treemod._check_section(t, s).ids.keys() == set(s)
+    assert walks == [frozenset(sec), frozenset(other), frozenset(sec)]
 
 
 def test_hitting_from_origin_closed_form():
