@@ -26,7 +26,6 @@ from .linalg import LUFactorization, lu_factor, real_matmul
 
 RESIDUAL_RTOL = 1e-9
 TOWER_TOL = 1e-8
-UNDERFLOW = 2.0 ** -1074  # the subnormal spacing: the error of one underflow
 
 
 def _scale(lam: complex, n: int, *vectors: np.ndarray) -> float:
@@ -210,10 +209,10 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
       row by row over |lam| |f_r| + P_int |f_r| + Q |g_r| + |f_{r+1}|
       (the componentwise backward error of Oettli and Prager; Higham,
       *Accuracy and Stability of Numerical Algorithms*, Thm 7.3), at most
-      ``TOWER_TOL``.  A row with |e| <= (1 + |lam|) k ``UNDERFLOW``
-      (k interior vertices) counts as exact: k terms, each off by one
-      subnormal spacing and weighted by at most 1 + |lam|, leave that
-      much, and for |lam| > 1 it moves f_r by a few spacings only;
+      ``TOWER_TOL``.  A row with |e| <= (1 + |lam|) k 2^-1074 (k interior
+      vertices) counts as exact: k terms, each off by one subnormal
+      spacing 2^-1074 and weighted by at most 1 + |lam|, leave that much,
+      and for |lam| > 1 it moves f_r by a few spacings only;
     - Delta_lam^n of the solution on the n-th interior, at most
       ``TOWER_TOL`` (1 + |lam|)^n max(1, max|f_r|, max|g_r|): the scale
       of :func:`residual_tol` with one factor 1 + |lam| per application.
@@ -227,8 +226,8 @@ def solve_riquier(problem: RiquierProblem, chain: Chain) -> Solution:
     gm = green(chain, lam)
     p, q = chain.p_int, chain.q
     k = len(chain.interior)
-    # k * UNDERFLOW first: (1 + |lam|) k may be past the float range
-    underflow = (1.0 + abs(lam)) * (k * UNDERFLOW)
+    # k spacings first: (1 + |lam|) k may be past the float range
+    underflow = (1.0 + abs(lam)) * (k * 2.0 ** -1074)
 
     stages: list[np.ndarray] = []  # f_n .. f_1 on the interior
     above = np.zeros(k, dtype=complex)  # f_{r+1}; none above f_n
