@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, type=lambda s: s.split(","),
                    help="comma-separated boundary data files g1.json,g2.json,...")
 
-    p = command("global-basis", cmd_global_basis, "basis of global order-n solutions",
+    p = command("global-basis", cmd_global_basis,
+                "orthonormal basis of global order-n solutions (at lambda = 1: the "
+                "harmonic extensions of the boundary indicators)",
                 lam=True, verdict="basis_computed")
     p.add_argument("--n", type=int, required=True)
 

@@ -13,6 +13,7 @@ then checked and indexed all at once, in numpy.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import repeat
@@ -257,17 +258,27 @@ def _from_json(data, path: str, parse):
     """``parse(doc, path)`` of the JSON document in ``data``, text or
     bytes (decoded as :func:`json.loads` would).  The bytes are freed
     once decoded and the text once parsed, when no caller keeps them; a
-    chain file is parsed through :func:`_edge_record`.  A document
-    nested too deeply for Python's recursion limit is malformed input."""
+    chain file is parsed through :func:`_edge_record`, with the cyclic
+    collector paused: it never untracks the :class:`_Edge` records (a
+    tuple subclass), so each collection the parse triggered would walk
+    all of them.  The collector's state is restored however the parse
+    ends.  A document nested too deeply for Python's recursion limit is
+    malformed input."""
     if isinstance(data, bytes):
         data = data.decode(json.detect_encoding(data), "surrogatepass")
-    hook = _edge_record if parse is chain_from_doc else None
+    chain = parse is chain_from_doc
+    paused = chain and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
-        doc = json.loads(data, object_hook=hook)
+        doc = json.loads(data, object_hook=_edge_record if chain else None)
         del data
         return parse(doc, path)
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _load(path: str, parse):

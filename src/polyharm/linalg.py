@@ -12,8 +12,9 @@ the diagonal panels' triangles that each LU forms once (an explicit
 triangular inverse is accurate to that block's condition: Du Croz &
 Higham, IMA J. Numer. Anal. 1992).  The complete-pivot elimination
 behind the nullspace takes one matrix at a time and stops at its own
-threshold.  Steps that decide nothing are LAPACK's: the Householder QR
-that orthonormalises a kernel basis.  The nullspace alone keeps real
+threshold.  Steps that decide nothing are LAPACK's: the solve with the
+kept U factor that gives a kernel basis and the Householder QR that
+orthonormalises it.  The nullspace alone keeps real
 input real: float64 elimination and a float64 kernel basis, and
 :func:`real_matmul` multiplies real by complex in real arithmetic.
 
@@ -281,11 +282,12 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
 
     The rank decision is ours: Gaussian elimination with complete (row
     and column) pivoting, stopping at the first pivot at or below
-    ``tol * max|A|``.  Kernel vectors come from one back-substitution
-    that carries every free column at once; LAPACK's Householder QR then
-    orthonormalises them, with each column's phase set so the basis is
-    the Gram-Schmidt basis of the same vectors.  The QR makes no rank
-    decision: the vectors are independent by construction.
+    ``tol * max|A|``.  Kernel vectors come from one LAPACK solve with
+    the U factor that carries every free column at once; LAPACK's
+    Householder QR then orthonormalises them, with each column's phase
+    set so the basis is the Gram-Schmidt basis of the same vectors.
+    Neither makes a rank decision: U's pivots are the ones kept, and the
+    vectors are independent by construction.
 
     Real input (no complex dtype) is eliminated in float64 and its basis
     vectors are float64; complex input stays complex128 throughout.
@@ -298,11 +300,10 @@ def nullspace_info(a, tol: float) -> tuple[list[np.ndarray], EchelonInfo]:
     rank = info.rank
     if rank == nc:
         return [], info
-    u = m[:rank]
-    y = np.zeros((nc, nc - rank), dtype=m.dtype)
+    u = m[:rank]  # its multipliers below the diagonal are not cleared
+    y = np.empty((nc, nc - rank), dtype=m.dtype)
+    y[:rank] = np.linalg.solve(np.triu(u[:, :rank]), -u[:, rank:])
     y[rank:] = np.eye(nc - rank)
-    for k in range(rank - 1, -1, -1):  # U[:, :rank] Y = -U[:, rank:]
-        y[k] = -(u[k, rank:] + u[k, k + 1:rank] @ y[k + 1:rank]) / u[k, k]
     v = np.empty_like(y)
     v[perm] = y
     q, r = np.linalg.qr(v)

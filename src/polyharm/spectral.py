@@ -1,11 +1,14 @@
-"""Interior spectra and Jordan-chain bases.
+"""Interior spectra, Jordan-chain bases and global polyharmonic bases.
 
 For an eigenvalue lam of the interior block, the functions annihilated
 by any power of (lam I - P) on the whole vertex set vanish on the
 boundary and are spanned by the generalised eigenvectors of the
-interior block.  This module computes that Jordan structure from nested
-numerical kernels, with explicit rank-gap reporting: genuinely
-ambiguous rank decisions raise instead of guessing.
+interior block.  Both questions asked here are read off the nested
+numerical kernels ker B^k of B = lam I - P_int, from one staircase
+deflation with explicit rank-gap reporting: genuinely ambiguous rank
+decisions raise instead of guessing.  The order-n global basis takes the
+first n levels as they are (an orthonormal basis of ker B^n); the Jordan
+chains take every level and pick the chain tops from them.
 """
 
 from __future__ import annotations
@@ -111,6 +114,70 @@ def _chain_scale(first: np.ndarray) -> complex:
     return 1.0 / (nrm * phase)
 
 
+def _snap(chain: Chain, lam: complex, cluster_tol: float) -> tuple[complex, int]:
+    """The kept eigenvalue nearest ``lam`` and its algebraic multiplicity.
+
+    Raises :class:`NotAnEigenvalue` when that eigenvalue is farther than
+    ``cluster_tol``.  P is real, so an exactly real eigenvalue comes back
+    as a float and every matrix formed from it is real.
+    """
+    spec = interior_spectrum(chain, cluster_tol=cluster_tol).spectrum
+    i = spec._nearest(lam)
+    nearest = spec.eigenvalues[i]
+    if abs(nearest - lam) > spec.cluster_tol:
+        raise NotAnEigenvalue(
+            f"{lam} is not within {spec.cluster_tol} of the computed spectrum "
+            f"{[complex(z) for z in spec.eigenvalues]}"
+        )
+    return (nearest.real if nearest.imag == 0 else nearest), spec.alg_mult[i]
+
+
+def _staircase(b: np.ndarray, kappa: int, tol: float,
+               levels: int) -> tuple[list[np.ndarray], list[EchelonInfo], list[int]]:
+    """The first ``levels`` nested kernels of ``b`` by staircase deflation.
+
+    B_1 = B, and B_{k+1} = C^H B_k C for the orthonormal complement C of
+    ker B_k, so N_k = N_{k-1} + D_k with D_k = C_{<k} ker B_k, C_{<k} the
+    product of the earlier complements.  The compressions are unitary, so
+    one absolute threshold tol * max|B| serves every level, and the
+    columns of all the D_k together are orthonormal.  Returns the D_k,
+    the elimination of each B_k and dims = [0, dim N_1, ...].  The search
+    stops at an empty kernel (B_k is then invertible, so no later power
+    has a larger kernel) or once the dimension reaches the algebraic
+    multiplicity ``kappa``.  A dimension past ``kappa``, or short of it
+    with no level or direction left, raises :class:`IllConditioned`.
+    """
+    m = b.shape[0]
+    block, comp = b, np.eye(m, dtype=b.dtype)
+    new, kernel_infos, dims = [], [], [0]
+    scale_b = float(np.abs(b).max())
+    for k in range(1, levels + 1):
+        scale_k = float(np.abs(block).max(initial=0.0))
+        basis, info = nullspace_info(block, tol * scale_b / scale_k if scale_k > 0 else tol)
+        if info.gap < GAP_FACTOR:
+            raise IllConditioned(
+                f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
+                f"vs discarded {info.largest_dropped:.3e}"
+            )
+        if not basis:
+            break
+        kernel_infos.append(info)
+        kern = np.array(basis, dtype=b.dtype).T
+        new.append(comp @ kern)
+        dims.append(dims[-1] + len(basis))
+        if dims[-1] >= kappa or k == levels:
+            break
+        c = np.linalg.qr(kern, mode="complete")[0][:, len(basis):]
+        comp, block = comp @ c, c.conj().T @ block @ c
+    # short of kappa is consistent only when the level cap cut the search
+    cut = len(new) == levels and dims[-1] < m
+    if dims[-1] > kappa or (dims[-1] < kappa and not cut):
+        raise IllConditioned(
+            f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
+        )
+    return new, kernel_infos, dims
+
+
 def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
                  cluster_tol: float = CLUSTER_TOL) -> JordanBasis:
     """Jordan chain structure at an eigenvalue of the interior block.
@@ -149,54 +216,12 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
         A rank decision has retained/discarded pivots closer than a
         factor of ``GAP_FACTOR``, or level dimensions are inconsistent.
     """
-    spec = interior_spectrum(chain, cluster_tol=cluster_tol).spectrum
-    i = spec._nearest(lam)
-    nearest = spec.eigenvalues[i]
-    if abs(nearest - lam) > spec.cluster_tol:
-        raise NotAnEigenvalue(
-            f"{lam} is not within {spec.cluster_tol} of the computed spectrum "
-            f"{[complex(z) for z in spec.eigenvalues]}"
-        )
-    kappa = spec.alg_mult[i]
-    # P is real, so at a real eigenvalue every matrix below is real
-    lam0 = nearest.real if nearest.imag == 0 else nearest
-
+    lam0, kappa = _snap(chain, lam, cluster_tol)
     p_int = chain.p_int
     m = p_int.shape[0]
     b = lam0 * np.eye(m) - p_int
     dtype = b.dtype
-
-    # staircase deflation: B_1 = B, and B_{k+1} = C^H B_k C for the
-    # orthonormal complement C of ker B_k, so N_k = N_{k-1} + D_k with
-    # D_k = C_{<k} ker B_k, C_{<k} the product of the earlier complements.
-    # The compressions are unitary, so one absolute threshold tol * max|B|
-    # serves every level; an empty kernel ends the search (B_k is then
-    # invertible, so no later power has a larger kernel)
-    block, comp = b, np.eye(m, dtype=dtype)
-    new, kernel_infos, dims = [], [], [0]
-    scale_b = float(np.abs(b).max())
-    for k in range(1, m + 1):
-        scale_k = float(np.abs(block).max(initial=0.0))
-        basis, info = nullspace_info(block, tol * scale_b / scale_k if scale_k > 0 else tol)
-        if info.gap < GAP_FACTOR:
-            raise IllConditioned(
-                f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
-                f"vs discarded {info.largest_dropped:.3e}"
-            )
-        if not basis:
-            break
-        kernel_infos.append(info)
-        kern = np.array(basis, dtype=dtype).T
-        new.append(comp @ kern)
-        dims.append(dims[-1] + len(basis))
-        if dims[-1] >= kappa:
-            break
-        c = np.linalg.qr(kern, mode="complete")[0][:, len(basis):]
-        comp, block = comp @ c, c.conj().T @ block @ c
-    if dims[-1] != kappa:
-        raise IllConditioned(
-            f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
-        )
+    new, kernel_infos, dims = _staircase(b, kappa, tol, m)
 
     # chain tops level by level, deepest first; column j of ``vecs`` is
     # chain j's member at the current level.  D_k is orthogonal to
@@ -244,22 +269,34 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
 def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
                               tol: float = JORDAN_TOL,
                               cluster_tol: float = CLUSTER_TOL) -> list[np.ndarray]:
-    """Basis of {f on X : (lam I - P)^n f = 0 everywhere} for lam in the
-    interior spectrum: the Jordan chain vectors up to position
-    min(n, chain length), extended by zero on the boundary.
+    """Orthonormal basis of {f on X : (lam I - P)^n f = 0 everywhere} for
+    lam in the interior spectrum.
+
+    That space is ker B^n of B = lam I - P_int, extended by zero on the
+    boundary.  It comes from the first min(n, m) levels of the staircase
+    that :func:`jordan_basis` runs (m the interior size): the new
+    directions D_1 ... D_n of the nested kernels, orthonormal all
+    together.  Its dimension is sum(min(n, l_j)) over the
+    Jordan chain lengths l_j, but the vectors are not chain vectors, and
+    no level deeper than n is eliminated: its rank does not change the
+    answer.  For the chain structure use :func:`jordan_basis`.  The
+    snapping of ``lam``, the arithmetic (float64 at a real eigenvalue),
+    the ``GAP_FACTOR`` refusal at every level used and the refusal of
+    kernels that stop short of the algebraic multiplicity are those of
+    :func:`jordan_basis`; the vectors are complex128.
 
     Each returned vector is verified to be annihilated by the n-th power
-    of the operator within 1e-8 relative.  The vectors vanish on the
-    absorbing boundary, so only the interior rows can be nonzero: one
-    application of Delta_lam^n to their stacked interior rows checks
-    them all.
+    of the operator within 1e-8 relative: one application of
+    Delta_lam^n to the stacked vectors checks them all.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    jb = jordan_basis(chain, lam, tol, cluster_tol=cluster_tol)
-    basis = jb.vectors(max_order=n)
-    v = np.array(basis).T
-    res = np.abs(_delta_power(chain.p_int, chain.q, jb.lam, v[chain.interior_rows],
+    lam0, kappa = _snap(chain, lam, cluster_tol)
+    p_int = chain.p_int
+    m = p_int.shape[0]
+    new = _staircase(lam0 * np.eye(m) - p_int, kappa, tol, min(n, m))[0]
+    v = chain.embed(np.hstack(new))
+    res = np.abs(_delta_power(p_int, chain.q, lam0, v[chain.interior_rows],
                               v[chain.boundary_rows], n)).max(axis=0)
     lim = 1e-8 * np.abs(v).max(axis=0)
     for r, bound in zip(res, lim):
@@ -267,7 +304,7 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
             raise IllConditioned(
                 f"basis vector fails (lam I - P)^{n} annihilation: {r:.3e} > {bound:.3e}"
             )
-    return basis
+    return list(np.ascontiguousarray(v.T, dtype=complex))
 
 
 @dataclass(eq=False)

@@ -85,33 +85,51 @@ def test_bench_spectral_network_checks_rank_each_eigenvector_once(tmp_path, monk
 def test_bench_spectral_jordan_bases_eliminate_twice_per_level(tmp_path, monkeypatch):
     """In one ``spectral`` round, each Jordan basis makes two eliminations
     per level of its nested kernels: one for the kernel of B^k and one
-    for that level's chain tops."""
+    for that level's chain tops.  Each order-n global basis makes one
+    kernel elimination for each of its min(n, depth) levels and none for
+    chain tops."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     import workloads
 
     spectral, linalg = polyharm.spectral, polyharm.linalg
-    echelon, jordan = linalg._echelon, spectral.jordan_basis
-    calls, seen = [0], []
+    echelon, null = linalg._echelon, spectral.nullspace_info
+    jordan, glob = spectral.jordan_basis, spectral.global_polyharmonic_basis
+    calls, kernels, seen, depth, global_seen = [0], [0], [], {}, []
 
     def counting_echelon(m, tol):
         calls[0] += 1
         return echelon(m, tol)
 
-    def counting_jordan(*args, **kwargs):
+    def counting_null(a, tol):
+        kernels[0] += 1
+        return null(a, tol)
+
+    def counting_jordan(chain, *args, **kwargs):
         calls[0] = 0
-        jb = jordan(*args, **kwargs)
+        jb = jordan(chain, *args, **kwargs)
         seen.append((calls[0], jb.chain_lengths[0]))
+        depth[id(chain)] = jb.chain_lengths[0]
         return jb
+
+    def counting_global(chain, lam, n, *args, **kwargs):
+        calls[0] = kernels[0] = 0
+        basis = glob(chain, lam, n, *args, **kwargs)
+        global_seen.append((calls[0], kernels[0], min(n, depth[id(chain)])))
+        return basis
 
     monkeypatch.setattr(linalg, "_echelon", counting_echelon)
     monkeypatch.setattr(spectral, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "nullspace_info", counting_null)
     monkeypatch.setattr(spectral, "jordan_basis", counting_jordan)
     monkeypatch.setattr(polyharm, "jordan_basis", counting_jordan)
+    monkeypatch.setattr(spectral, "global_polyharmonic_basis", counting_global)
+    monkeypatch.setattr(polyharm, "global_polyharmonic_basis", counting_global)
     for op in workloads.spectral(polyharm, 7, tmp_path).round:
         assert op.check(op.run()) == [], op.name
-    assert len(seen) == 9
+    assert len(seen) == 6
     assert all(n == 2 * levels for n, levels in seen), seen
+    assert global_seen == [(2, 2, 2)] * 3
 
 
 def test_bench_spectral_eliminations_are_real_at_real_eigenvalues(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Chain files parsed into compact edge records."""
 
+import gc
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polyharm import formats
 from polyharm.cli import main
 from polyharm.formats import FormatError, chain_from_doc, load_chain
 
@@ -121,3 +123,37 @@ def test_a_vertex_id_that_is_not_a_string_is_refused(doc, value, tmp_path, capsy
     path = _write(tmp_path, doc)
     assert main(["--json", "validate", path]) == 2
     assert capsys.readouterr().err == f"error: {path}: vertex id {value} is not a string\n"
+
+
+def test_a_chain_file_is_parsed_with_the_collector_paused(monkeypatch, tmp_path):
+    """The cyclic collector would walk every edge record: it is off while
+    the records are made and on again once the chain is built."""
+    seen, real = [], formats._edge_record
+
+    def recording(obj):
+        seen.append(gc.isenabled())
+        return real(obj)
+
+    monkeypatch.setattr(formats, "_edge_record", recording)
+    assert gc.isenabled()
+    load_chain(_write(tmp_path, {**_P4, "edges": _EDGES}))
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("text, error", [
+    ("[" * 100_000, "JSON nested too deeply"),
+    (json.dumps({**_P4, "edges": [_EDGES[0], {"from": "b", "p": 0.5}]}), "missing key 'to'"),
+], ids=["nested", "malformed-edge"])
+def test_the_collector_state_is_restored_when_the_parse_raises(enabled, text, error, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(FormatError, match=error):
+            load_chain(str(path))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -314,17 +314,23 @@ def test_cycle_chain_has_complex_spectrum():
     assert interior_spectrum(c).rho == pytest.approx(0.9, abs=1e-9)
 
 
-def test_triple_eigenvalue_two_blocks():
-    # alg. mult 3, geo mult 2: chain lengths (2, 1); a defective
-    # eigenvalue splits by ~eps**(1/m) in floating point, so recognising it
-    # needs the coarse cluster knob; the cluster centre stays accurate
+def _triple_eigenvalue_chain():
+    """Interior eigenvalue 0.4 of algebraic multiplicity 3 in two Jordan
+    blocks, of sizes 2 and 1."""
     trans = [
         [0.4, 0.3, 0.0, 0.3],
         [0.0, 0.4, 0.0, 0.6],
         [0.0, 0.0, 0.4, 0.6],
         [0.0, 0.0, 0.0, 1.0],
     ]
-    c = build_chain(["x", "y", "z", "w"], ["x", "y", "z"], ["w"], trans)
+    return build_chain(["x", "y", "z", "w"], ["x", "y", "z"], ["w"], trans)
+
+
+def test_triple_eigenvalue_two_blocks():
+    # alg. mult 3, geo mult 2: chain lengths (2, 1); a defective
+    # eigenvalue splits by ~eps**(1/m) in floating point, so recognising it
+    # needs the coarse cluster knob; the cluster centre stays accurate
+    c = _triple_eigenvalue_chain()
     spec = interior_spectrum(c, cluster_tol=1e-4).spectrum
     assert spec.alg_mult == (3,)
     assert abs(spec.eigenvalues[0] - 0.4) < 1e-10
@@ -690,6 +696,106 @@ def test_jordan_levels_eliminate_only_their_deflated_blocks(monkeypatch, forward
         dims = [sum(min(k, n) for n in jb.chain_lengths) for k in range(depth + 1)]
         assert kernel_shapes == [(m - dims[k - 1],) * 2 for k in range(1, depth + 1)]
         assert top_shapes == [(dims[k] - dims[k - 1],) * 2 for k in range(depth, 0, -1)]
+
+
+# ---------------------------------- global basis from the first n levels
+
+def _assert_orthonormal_chain_span(c, lam, n, jb, cluster_tol=linalg.CLUSTER_TOL):
+    """The order-n global basis spans the first n vectors of every Jordan
+    chain, has their number, and its interior rows are orthonormal."""
+    basis = global_polyharmonic_basis(c, lam, n, cluster_tol=cluster_tol)
+    chains = np.column_stack(jb.vectors(max_order=n))
+    assert len(basis) == chains.shape[1] == sum(min(n, k) for k in jb.chain_lengths)
+    q = np.column_stack(basis)
+    stacked = np.hstack([q, chains / np.linalg.norm(chains, axis=0)])
+    assert np.linalg.matrix_rank(stacked, tol=1e-8) == len(basis)
+    inner = q[c.interior_rows]
+    assert np.abs(inner.conj().T @ inner - np.eye(len(basis))).max() <= 1e-12
+
+
+def test_global_basis_spans_the_first_n_chain_vectors(p4, forward_path):
+    """On the small chains, at the 3-fold eigenvalue 0.4 and at every
+    eigenvalue of seeded random chains, for n = 1 .. 4."""
+    cases = [(forward_path, 0.0, linalg.CLUSTER_TOL), (p4, 0.5, linalg.CLUSTER_TOL),
+             (p4, -0.5, linalg.CLUSTER_TOL), (_triple_eigenvalue_chain(), 0.4, 1e-4)]
+    rng = np.random.default_rng(79)
+    for _ in range(12):
+        c = random_chain(rng, max_interior=6, max_boundary=2, rational=True)
+        cases += [(c, z, linalg.CLUSTER_TOL) for z in interior_spectrum(c).spectrum.eigenvalues]
+    for c, lam, cluster_tol in cases:
+        jb = jordan_basis(c, lam, cluster_tol=cluster_tol)
+        for n in range(1, 5):
+            _assert_orthonormal_chain_span(c, lam, n, jb, cluster_tol)
+
+
+def test_global_basis_spans_the_first_n_chain_vectors_at_interior_255():
+    """Depth 8: the Jordan vectors up to order n are far from orthogonal,
+    the global basis is orthonormal within 1e-12."""
+    c = _binary_section(8, np.random.default_rng(8))
+    jb = jordan_basis(c, 0.0)
+    for n in (1, 2, 3, 8):
+        _assert_orthonormal_chain_span(c, 0.0, n, jb)
+
+
+def test_global_basis_eliminates_only_its_levels(monkeypatch):
+    """Interior 255 at n = 2: one kernel elimination per level used, two
+    in all, and no chain-top elimination."""
+    c = _binary_section(8, np.random.default_rng(8))
+    interior_spectrum(c)
+    kernels, eliminations = [0], [0]
+    real_null, real_echelon = spectral.nullspace_info, linalg._echelon
+
+    def counting_null(a, tol):
+        kernels[0] += 1
+        return real_null(a, tol)
+
+    def counting_echelon(m, tol):
+        eliminations[0] += 1
+        return real_echelon(m, tol)
+
+    monkeypatch.setattr(spectral, "nullspace_info", counting_null)
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(spectral, "_echelon", counting_echelon)
+    assert len(global_polyharmonic_basis(c, 0.0, 2)) == sum(min(2, k) for k in _height_oracle(c))
+    assert kernels[0] == eliminations[0] == 2
+
+
+def _narrow_gap_at_level(monkeypatch, level):
+    """Let the elimination of B_level report retained and discarded
+    pivots a factor 2 apart."""
+    real, calls = spectral.nullspace_info, [0]
+
+    def narrow(a, tol):
+        calls[0] += 1
+        basis, info = real(a, tol)
+        if calls[0] == level:
+            info = replace(info, largest_dropped=info.smallest_kept / 2)
+        return basis, info
+
+    monkeypatch.setattr(spectral, "nullspace_info", narrow)
+    return calls
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_global_basis_refuses_an_ambiguous_rank_at_a_level_it_uses(monkeypatch, level):
+    c = _lazy_forward_path(5)
+    interior_spectrum(c)
+    _narrow_gap_at_level(monkeypatch, level)
+    with pytest.raises(IllConditioned, match=rf"rank of B\^{level} ambiguous"):
+        global_polyharmonic_basis(c, 0.5, 2)
+
+
+def test_global_basis_ignores_an_ambiguous_rank_below_order_n(monkeypatch):
+    """A bad gap at level 3 refuses the Jordan chains, not the order-2
+    basis, which never eliminates B_3."""
+    c = _lazy_forward_path(5)
+    interior_spectrum(c)
+    calls = _narrow_gap_at_level(monkeypatch, 3)
+    assert len(global_polyharmonic_basis(c, 0.5, 2)) == 2
+    assert calls[0] == 2
+    calls[0] = 0
+    with pytest.raises(IllConditioned, match=r"rank of B\^3 ambiguous"):
+        jordan_basis(c, 0.5)
 
 
 def _grid_network(m, rng=None):
