@@ -54,8 +54,13 @@ class Chain:
     formed.  ``_spectrum`` is written only by
     :func:`polyharm.spectral.interior_spectrum`: it keeps the chain's
     latest interior spectrum, keyed by ``cluster_tol``, one entry at
-    most and never a refused one.  ``_nth`` is written only by
-    :func:`nth_layout`.  Nothing kept refers back to the chain.
+    most and never a refused one.  ``_staircase`` is written only by
+    :func:`polyharm.spectral._staircase`: it keeps the nested kernels of
+    lam I - P_int found so far at the chain's latest eigenvalue, keyed by
+    the snapped eigenvalue and its type, its multiplicity and ``tol``, one
+    entry at most, read-only, and never a level whose rank was refused.
+    ``_nth`` is written only by :func:`nth_layout`.  Nothing kept refers
+    back to the chain.
 
     Attributes
     ----------
@@ -86,6 +91,8 @@ class Chain:
     _green: dict = field(default_factory=dict, init=False, repr=False)
     # cluster_tol -> InteriorSpectrum of the latest interior_spectrum(); one entry at most
     _spectrum: dict = field(default_factory=dict, init=False, repr=False)
+    # (lam, type(lam), kappa, tol) -> spectral._Staircase, the nested kernels kept; one at most
+    _staircase: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -214,9 +214,12 @@ def real_matmul(a: np.ndarray, x) -> np.ndarray:
 
 # ------------------------------------------------------------ nullspace
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EchelonInfo:
-    """Rank decision diagnostics from complete-pivot elimination."""
+    """Rank decision diagnostics from complete-pivot elimination.
+
+    Frozen: a chain keeps the infos of its staircase levels and hands the
+    same objects to every Jordan basis read from them."""
 
     rank: int
     pivots: np.ndarray          # pivot magnitudes in elimination order
@@ -360,12 +363,13 @@ class Spectrum:
         return min(range(len(z)), key=lambda i: abs(z[i] - lam))
 
 
-def _check_cluster_tol(cluster_tol: float) -> None:
-    """Refuse a ``cluster_tol`` that is not positive and finite: NaN
-    would merge nothing and infinity everything.  A ``bool`` is refused
-    too, although ``True`` compares (and hashes) equal to 1.0."""
-    if isinstance(cluster_tol, (bool, np.bool_)) or not 0.0 < cluster_tol < np.inf:
-        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+def _check_tol(value: float, name: str = "cluster_tol") -> None:
+    """Refuse a tolerance that is not positive and finite: a NaN
+    ``cluster_tol`` would merge nothing and an infinite one everything.
+    A ``bool`` is refused too, although ``True`` compares (and hashes)
+    equal to 1.0."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _working_radius(values: np.ndarray, cluster_tol: float) -> float:
@@ -429,7 +433,7 @@ def eigenvalues(a, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     defective eigenvalues of multiplicity 3 or more.  A ``cluster_tol``
     that is not positive and finite raises ``ValueError``.
     """
-    _check_cluster_tol(cluster_tol)
+    _check_tol(cluster_tol)
     m = as_matrix(a)
     n, nc = m.shape
     if n != nc:

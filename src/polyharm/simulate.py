@@ -6,11 +6,15 @@ the value at counter offset (k-1)*trials + t of a Philox stream keyed by
 the seed, so every trial owns a fixed substream: a trial's path depends
 only on the seed, its own id and the chain.  All trials run as one walk.
 
-A step costs time and memory in proportion to the trials still walking,
-not to trials x vertices: the next vertex is found by bisection in a
-table of each row's cumulative sums at its support, absorbed trials
-leave the live set, and each step draws the variates of the span from
-the first to the last live trial only.
+A step costs time in proportion to the trials still walking, not to
+trials x vertices: the next vertex is found by bisection in a table of
+each row's cumulative sums at its support, absorbed trials leave the
+live set, and each step draws the variates of the span from the first to
+the last live trial only.  Memory does not shrink with the live set:
+every step appends one int64 occupancy row over all n vertices
+(``np.bincount`` of the positions), and the rows are stacked into one
+(steps + 1) x n array at the end, so a walk holds about twice steps x n
+counts at its peak, however few trials are still walking.
 """
 
 from __future__ import annotations

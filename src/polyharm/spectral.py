@@ -8,11 +8,14 @@ numerical kernels ker B^k of B = lam I - P_int, from one staircase
 deflation with explicit rank-gap reporting: genuinely ambiguous rank
 decisions raise instead of guessing.  The order-n global basis takes the
 first n levels as they are (an orthonormal basis of ker B^n); the Jordan
-chains take every level and pick the chain tops from them.
+chains take every level and pick the chain tops from them.  The chain
+keeps the levels found at its latest eigenvalue, as it keeps its LU, so
+both read the same levels and none is eliminated twice.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +28,7 @@ from .errors import (
     ReportedViolation,
     SpectralRadiusViolation,
 )
-from .linalg import (CLUSTER_TOL, EchelonInfo, Spectrum, _check_cluster_tol, _echelon,
+from .linalg import (CLUSTER_TOL, EchelonInfo, Spectrum, _check_tol, _echelon,
                      _working_radius, eigenvalues, nullspace_info)
 
 RHO_MARGIN = 1e-10
@@ -55,7 +58,7 @@ def interior_spectrum(chain: Chain, cluster_tol: float = CLUSTER_TOL) -> Interio
     spectrum is never kept, so the next call computes it again.  A
     ``cluster_tol`` that is not positive and finite raises ``ValueError``.
     """
-    _check_cluster_tol(cluster_tol)
+    _check_tol(cluster_tol)
     kept = chain._spectrum.get(cluster_tol)
     if kept is None:
         spec = eigenvalues(chain.p_int, cluster_tol=cluster_tol)
@@ -132,9 +135,24 @@ def _snap(chain: Chain, lam: complex, cluster_tol: float) -> tuple[complex, int]
     return (nearest.real if nearest.imag == 0 else nearest), spec.alg_mult[i]
 
 
-def _staircase(b: np.ndarray, kappa: int, tol: float,
+@dataclass(eq=False)
+class _Staircase:
+    """The staircase levels a chain keeps at one eigenvalue: the new
+    directions D_k, their eliminations and dims, all read-only, with
+    max|B| and, until the search stops, the state to continue from:
+    (B_k, C_{<k}, ker B_k) of the last level kept."""
+
+    new: list
+    kernel_infos: list
+    dims: list
+    scale: float
+    state: tuple | None
+
+
+def _staircase(chain: Chain, lam0: complex, kappa: int, tol: float,
                levels: int) -> tuple[list[np.ndarray], list[EchelonInfo], list[int]]:
-    """The first ``levels`` nested kernels of ``b`` by staircase deflation.
+    """The first ``levels`` nested kernels of B = lam0 I - P_int by
+    staircase deflation.
 
     B_1 = B, and B_{k+1} = C^H B_k C for the orthonormal complement C of
     ker B_k, so N_k = N_{k-1} + D_k with D_k = C_{<k} ker B_k, C_{<k} the
@@ -146,36 +164,51 @@ def _staircase(b: np.ndarray, kappa: int, tol: float,
     has a larger kernel) or once the dimension reaches the algebraic
     multiplicity ``kappa``.  A dimension past ``kappa``, or short of it
     with no level or direction left, raises :class:`IllConditioned`.
+
+    The chain keeps one staircase, keyed by ``lam0`` (with its type,
+    which sets the arithmetic), ``kappa`` and ``tol``: a call answers
+    from the levels kept and eliminates only the levels past them.  A
+    level whose rank is ambiguous raises and is never kept.
     """
-    m = b.shape[0]
-    block, comp = b, np.eye(m, dtype=b.dtype)
-    new, kernel_infos, dims = [], [], [0]
-    scale_b = float(np.abs(b).max())
-    for k in range(1, levels + 1):
-        scale_k = float(np.abs(block).max(initial=0.0))
-        basis, info = nullspace_info(block, tol * scale_b / scale_k if scale_k > 0 else tol)
+    key = (lam0, type(lam0), kappa, tol)
+    kept = chain._staircase.get(key)
+    if kept is None:
+        b = lam0 * np.eye(chain.p_int.shape[0]) - chain.p_int
+        kept = _Staircase([], [], [0], float(np.abs(b).max()),
+                          (b, np.eye(len(b), dtype=b.dtype), None))
+    new, kernel_infos, dims = kept.new, kept.kernel_infos, kept.dims
+    while len(new) < levels and kept.state is not None:
+        block, comp, kern = kept.state
+        if kern is not None:
+            c = np.linalg.qr(kern, mode="complete")[0][:, kern.shape[1]:]
+            comp, block = comp @ c, c.conj().T @ block @ c
+        k, scale_k = len(new) + 1, float(np.abs(block).max(initial=0.0))
+        basis, info = nullspace_info(block, tol * kept.scale / scale_k if scale_k > 0 else tol)
         if info.gap < GAP_FACTOR:
             raise IllConditioned(
                 f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
                 f"vs discarded {info.largest_dropped:.3e}"
             )
-        if not basis:
-            break
-        kernel_infos.append(info)
-        kern = np.array(basis, dtype=b.dtype).T
-        new.append(comp @ kern)
-        dims.append(dims[-1] + len(basis))
-        if dims[-1] >= kappa or k == levels:
-            break
-        c = np.linalg.qr(kern, mode="complete")[0][:, len(basis):]
-        comp, block = comp @ c, c.conj().T @ block @ c
+        kept.state = None  # an empty kernel, or dim N_k reaching kappa, ends the search
+        if basis:
+            kern = np.array(basis, dtype=comp.dtype).T
+            new.append(comp @ kern)
+            kernel_infos.append(info)
+            dims.append(dims[-1] + len(basis))
+            for a in (new[-1], info.pivots, block, comp, kern):
+                a.flags.writeable = False
+            if dims[-1] < kappa:
+                kept.state = block, comp, kern
+        chain._staircase.clear()
+        chain._staircase[key] = kept
+    v = min(levels, len(new))
     # short of kappa is consistent only when the level cap cut the search
-    cut = len(new) == levels and dims[-1] < m
-    if dims[-1] > kappa or (dims[-1] < kappa and not cut):
+    cut = v == levels and dims[v] < chain.p_int.shape[0]
+    if dims[v] > kappa or (dims[v] < kappa and not cut):
         raise IllConditioned(
-            f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
+            f"kernel dimensions {dims[1:v + 1]} never reach algebraic multiplicity {kappa}"
         )
-    return new, kernel_infos, dims
+    return new[:v], kernel_infos[:v], dims[:v + 1]
 
 
 def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
@@ -198,6 +231,13 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     wants no new top they are pure rounding).  The output is
     deterministic given the pivot order, longest chains first.
 
+    The chain keeps the staircase of its latest eigenvalue, keyed by the
+    snapped ``lam``, its algebraic multiplicity and ``tol``: a later
+    call there, or a :func:`global_polyharmonic_basis` call, eliminates
+    no level again, and its ``kernel_infos`` are the kept ones, with
+    read-only pivots.  The chain tops and every check run on each call.
+    A refused rank decision is never kept.
+
     At an exactly real snapped eigenvalue B is real and all arithmetic is
     float64, otherwise complex128; the vectors returned are complex128
     either way (with imaginary parts exactly 0 at a real eigenvalue).
@@ -215,13 +255,16 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     IllConditioned
         A rank decision has retained/discarded pivots closer than a
         factor of ``GAP_FACTOR``, or level dimensions are inconsistent.
+    ValueError
+        ``tol`` or ``cluster_tol`` is a bool, or not positive and finite.
     """
+    _check_tol(tol, "tol")
     lam0, kappa = _snap(chain, lam, cluster_tol)
     p_int = chain.p_int
     m = p_int.shape[0]
     b = lam0 * np.eye(m) - p_int
     dtype = b.dtype
-    new, kernel_infos, dims = _staircase(b, kappa, tol, m)
+    new, kernel_infos, dims = _staircase(chain, lam0, kappa, tol, m)
 
     # chain tops level by level, deepest first; column j of ``vecs`` is
     # chain j's member at the current level.  D_k is orthogonal to
@@ -283,18 +326,29 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
     snapping of ``lam``, the arithmetic (float64 at a real eigenvalue),
     the ``GAP_FACTOR`` refusal at every level used and the refusal of
     kernels that stop short of the algebraic multiplicity are those of
-    :func:`jordan_basis`; the vectors are complex128.
+    :func:`jordan_basis`; the vectors are complex128.  The levels come
+    from the staircase the chain keeps (see :func:`jordan_basis`), so
+    only levels past the kept ones are eliminated, and the order-n
+    basis after a Jordan basis at the same eigenvalue eliminates none.
 
     Each returned vector is verified to be annihilated by the n-th power
-    of the operator within 1e-8 relative: one application of
-    Delta_lam^n to the stacked vectors checks them all.
+    of the operator within 1e-8 relative, on every call: one application
+    of Delta_lam^n to the stacked vectors checks them all.  An order ``n``
+    that is a bool or not an integer, or is below 1, and a ``tol`` or
+    ``cluster_tol`` refused as by :func:`jordan_basis`, raise ``ValueError``.
     """
+    try:
+        if isinstance(n, (bool, np.bool_)):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    _check_tol(tol, "tol")
     lam0, kappa = _snap(chain, lam, cluster_tol)
     p_int = chain.p_int
-    m = p_int.shape[0]
-    new = _staircase(lam0 * np.eye(m) - p_int, kappa, tol, min(n, m))[0]
+    new = _staircase(chain, lam0, kappa, tol, min(n, p_int.shape[0]))[0]
     v = chain.embed(np.hstack(new))
     res = np.abs(_delta_power(p_int, chain.q, lam0, v[chain.interior_rows],
                               v[chain.boundary_rows], n)).max(axis=0)
@@ -344,7 +398,7 @@ def network_spectrum_check(network: Network, tol: float = JORDAN_TOL,
     if not isinstance(network, Network):
         raise TypeError("network_spectrum_check needs a Network, "
                         f"got {type(network).__name__}")
-    _check_cluster_tol(cluster_tol)
+    _check_tol(cluster_tol)
     ch, m = network._walk
     p_int = ch.p_int
     d = np.sqrt([m[x] for x in ch.interior_ids])

@@ -85,9 +85,9 @@ def test_bench_spectral_network_checks_rank_each_eigenvector_once(tmp_path, monk
 def test_bench_spectral_jordan_bases_eliminate_twice_per_level(tmp_path, monkeypatch):
     """In one ``spectral`` round, each Jordan basis makes two eliminations
     per level of its nested kernels: one for the kernel of B^k and one
-    for that level's chain tops.  Each order-n global basis makes one
-    kernel elimination for each of its min(n, depth) levels and none for
-    chain tops."""
+    for that level's chain tops.  Each order-n global basis follows the
+    Jordan basis on its chain, whose min(n, depth) levels the chain
+    keeps, and makes no elimination."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     import workloads
@@ -129,14 +129,16 @@ def test_bench_spectral_jordan_bases_eliminate_twice_per_level(tmp_path, monkeyp
         assert op.check(op.run()) == [], op.name
     assert len(seen) == 6
     assert all(n == 2 * levels for n, levels in seen), seen
-    assert global_seen == [(2, 2, 2)] * 3
+    assert global_seen == [(0, 0, 2)] * 3
 
 
 def test_bench_spectral_eliminations_are_real_at_real_eigenvalues(tmp_path, monkeypatch):
     """In one ``spectral`` round, every elimination of the tree-section
-    operations and of ``dense13`` (all at real eigenvalues) gets a
+    Jordan bases and of ``dense13`` (all at real eigenvalues) gets a
     float64 matrix; ``dense35`` and ``dense56``, at complex eigenvalues,
-    get complex128."""
+    get complex128.  The tree-section global bases answer from the
+    staircase their Jordan bases left on the chain and eliminate
+    nothing."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
     import workloads
@@ -156,7 +158,8 @@ def test_bench_spectral_eliminations_are_real_at_real_eigenvalues(tmp_path, monk
         assert op.check(op.run()) == [], op.name
     jordan = {name: kinds for name, kinds in dtypes.items()
               if name.startswith(("tree", "dense"))}
-    assert len(jordan) == 9, sorted(jordan)
+    assert len(jordan) == 6, sorted(jordan)
+    assert not [name for name in dtypes if name.endswith(".global_basis")], sorted(dtypes)
     for name, kinds in jordan.items():
         want = "complex128" if name.startswith(("dense35", "dense56")) else "float64"
         assert kinds == {want}, (name, kinds)
@@ -185,6 +188,32 @@ def test_bench_spectral_rounds_keep_each_chains_spectrum(tmp_path, monkeypatch):
             assert op.check(op.run()) == [], op.name
         per_round.append(calls[0])
     assert per_round == [6, 0]
+
+
+def test_bench_spectral_rounds_keep_each_chains_staircase(tmp_path, monkeypatch):
+    """The first ``spectral`` round eliminates the nested kernels of each
+    tree or dense chain once (18 levels in all); the second, on the same
+    chains and eigenvalues, eliminates none."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    wl = workloads.spectral(polyharm, 7, tmp_path)
+    spectral = polyharm.spectral
+    null, calls = spectral.nullspace_info, [0]
+
+    def counting(a, tol):
+        calls[0] += 1
+        return null(a, tol)
+
+    monkeypatch.setattr(spectral, "nullspace_info", counting)
+    per_round = []
+    for _ in range(2):
+        calls[0] = 0
+        for op in wl.round:
+            assert op.check(op.run()) == [], op.name
+        per_round.append(calls[0])
+    assert per_round == [18, 0]
 
 
 def _per_riquier_round(tmp_path, monkeypatch, calls):

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -760,20 +762,23 @@ def test_global_basis_eliminates_only_its_levels(monkeypatch):
     assert kernels[0] == eliminations[0] == 2
 
 
-def _narrow_gap_at_level(monkeypatch, level):
-    """Let the elimination of B_level report retained and discarded
-    pivots a factor 2 apart."""
-    real, calls = spectral.nullspace_info, [0]
+def _narrow_gap_at_level(monkeypatch, level, size=5):
+    """On a chain of ``size`` interior vertices whose kernels grow by one
+    direction a level (the lazy forward path, one Jordan block), B_level
+    is the deflated block of side size + 1 - level: let its elimination
+    report retained and discarded pivots a factor 2 apart.  Returns the
+    list of the levels eliminated, in order."""
+    real, levels = spectral.nullspace_info, []
 
     def narrow(a, tol):
-        calls[0] += 1
+        levels.append(size + 1 - len(a))
         basis, info = real(a, tol)
-        if calls[0] == level:
+        if levels[-1] == level:
             info = replace(info, largest_dropped=info.smallest_kept / 2)
         return basis, info
 
     monkeypatch.setattr(spectral, "nullspace_info", narrow)
-    return calls
+    return levels
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -787,15 +792,201 @@ def test_global_basis_refuses_an_ambiguous_rank_at_a_level_it_uses(monkeypatch, 
 
 def test_global_basis_ignores_an_ambiguous_rank_below_order_n(monkeypatch):
     """A bad gap at level 3 refuses the Jordan chains, not the order-2
-    basis, which never eliminates B_3."""
+    basis, which never eliminates B_3.  The refused level is never kept:
+    each Jordan basis eliminates B_3 alone, from the two levels kept,
+    and is refused again, while the order-2 basis still answers and
+    eliminates nothing."""
     c = _lazy_forward_path(5)
     interior_spectrum(c)
-    calls = _narrow_gap_at_level(monkeypatch, 3)
-    assert len(global_polyharmonic_basis(c, 0.5, 2)) == 2
-    assert calls[0] == 2
-    calls[0] = 0
-    with pytest.raises(IllConditioned, match=r"rank of B\^3 ambiguous"):
-        jordan_basis(c, 0.5)
+    levels = _narrow_gap_at_level(monkeypatch, 3)
+    first = global_polyharmonic_basis(c, 0.5, 2)
+    assert len(first) == 2
+    assert levels == [1, 2]
+    for _ in range(2):
+        levels.clear()
+        with pytest.raises(IllConditioned, match=r"rank of B\^3 ambiguous"):
+            jordan_basis(c, 0.5)
+        assert levels == [3]
+        again = global_polyharmonic_basis(c, 0.5, 2)
+        assert levels == [3]
+        assert all(np.array_equal(u, v) for u, v in zip(again, first))
+
+
+# ------------------------------------- the staircase a chain keeps
+
+def _answer(c, lam, n, cluster_tol=linalg.CLUSTER_TOL):
+    """Everything ``jordan_basis`` (n None) or the order-n global basis
+    returns, as bytes and numbers, or the refusal's type and message."""
+    try:
+        if n is None:
+            jb = jordan_basis(c, lam, cluster_tol=cluster_tol)
+            return (jb.lam, jb.geo_mult, jb.alg_mult, jb.chain_lengths,
+                    [[v.tobytes() for v in ch] for ch in jb.chains],
+                    [(i.rank, i.pivots.tobytes(), i.smallest_kept, i.largest_dropped,
+                      i.threshold) for i in jb.kernel_infos + jb.top_infos])
+        basis = global_polyharmonic_basis(c, lam, n, cluster_tol=cluster_tol)
+        return [(v.dtype.name, v.tobytes()) for v in basis]
+    except (IllConditioned, NotAnEigenvalue) as e:
+        return type(e).__name__, str(e)
+
+
+def _copy(c):
+    return build_chain(c.vertices, c.interior_ids, c.boundary_ids, c.trans)
+
+
+# None is the Jordan basis, an integer the order of a global basis
+_ORDERS = {"ascending": (1, 2, 3, 8, None), "descending": (None, 8, 3, 2, 1),
+           "mixed": (2, None, 1, 8, 3)}
+
+
+def _kept_against_fresh(c, cluster_tol=linalg.CLUSTER_TOL):
+    """Every eigenvalue of ``c`` in every call order, and each pair of
+    neighbouring eigenvalues alternating, on one kept chain per sequence;
+    each call is compared with the same call on a new chain.  Returns
+    the number of calls and of refusals."""
+    zs = interior_spectrum(c, cluster_tol).spectrum.eigenvalues
+    runs = [[(z, n) for n in order] for z in zs for order in _ORDERS.values()]
+    runs += [[(z, n) for pair in zip(_ORDERS["mixed"], _ORDERS["descending"])
+              for z, n in zip((z1, z2), pair)] for z1, z2 in zip(zs, zs[1:])]
+    calls = refused = 0
+    for run in runs:
+        kept = _copy(c)
+        for z, n in run:
+            got = _answer(kept, z, n, cluster_tol)
+            assert got == _answer(_copy(c), z, n, cluster_tol), (z, n)
+            assert len(kept._staircase) <= 1
+            calls += 1
+            refused += got[0] in ("IllConditioned", "NotAnEigenvalue")
+    return calls, refused
+
+
+def _near_pair_chain(gap):
+    """Two interior vertices that stay with probability 0.4 and
+    0.4 + ``gap``: the eigenvalues, exactly those, merge into one of
+    multiplicity 2 at a ``cluster_tol`` above ``gap``."""
+    trans = [[0.4, 0.0, 0.6], [0.0, 0.4 + gap, 0.6 - gap], [0.0, 0.0, 1.0]]
+    return build_chain(["x", "y", "w"], ["x", "y"], ["w"], trans)
+
+
+def test_a_kept_staircase_answers_as_a_new_chain(p4, forward_path):
+    """Jordan bases and global bases of order 1, 2, 3 and 8, byte for
+    byte and refusal for refusal, on seeded random chains, tree sections
+    and the small chains, at every eigenvalue, in ascending, descending
+    and mixed order, and with neighbouring eigenvalues alternating."""
+    cases = [(forward_path, linalg.CLUSTER_TOL), (p4, linalg.CLUSTER_TOL),
+             (_lazy_forward_path(5), linalg.CLUSTER_TOL),
+             (_triple_eigenvalue_chain(), 1e-4), (_near_pair_chain(1e-5), 1e-4)]
+    rng = np.random.default_rng(31)
+    cases += [(random_chain(rng, max_interior=6, max_boundary=2, rational=True),
+               linalg.CLUSTER_TOL) for _ in range(18)]
+    cases += [(random_chain(rng, size=n), linalg.CLUSTER_TOL) for n in (12, 24)]
+    cases += [(_binary_section(d, np.random.default_rng(d)), linalg.CLUSTER_TOL)
+              for d in (3, 4, 5)]
+    for _ in range(16):
+        tree = random_tree(rng, max_depth=5, max_branch=3)
+        cases.append((restrict_to_section(tree, random_section(rng, tree)),
+                      linalg.CLUSTER_TOL))
+    calls = refused = 0
+    for c, cluster_tol in cases:
+        n_calls, n_refused = _kept_against_fresh(c, cluster_tol)
+        calls, refused = calls + n_calls, refused + n_refused
+    assert len(cases) == 44
+    assert calls > 2000 and refused > 0, (calls, refused)
+
+
+def test_a_refused_level_is_never_kept(monkeypatch):
+    """A gap below ``GAP_FACTOR`` at level 1 leaves the kept staircase of
+    another eigenvalue in place, and the next call, unpatched, answers
+    as on a new chain."""
+    pair = _near_pair_chain(1e-3)
+    z1, z2 = interior_spectrum(pair).spectrum.eigenvalues
+    global_polyharmonic_basis(pair, z1, 1)
+    before = dict(pair._staircase)
+    levels = _narrow_gap_at_level(monkeypatch, 1, size=2)
+    with pytest.raises(IllConditioned, match=r"rank of B\^1 ambiguous"):
+        jordan_basis(pair, z2)
+    assert levels == [1] and pair._staircase == before
+    monkeypatch.undo()
+    assert _answer(pair, z2, None) == _answer(_copy(pair), z2, None)
+
+
+def test_a_new_eigenvalue_tol_or_cluster_tol_replaces_the_kept_staircase():
+    """One entry at most: each call below has a new key, the last one
+    because a coarser ``cluster_tol`` merges the two eigenvalues into
+    one of multiplicity 2 (refused: B at their mean has no kernel)."""
+    c = _near_pair_chain(1e-5)
+    z1, z2 = interior_spectrum(c, 1e-6).spectrum.eigenvalues
+    keys = []
+    for lam, tol, cluster_tol in ((z1, 1e-8, 1e-6), (z2, 1e-8, 1e-6), (z2, 1e-9, 1e-6),
+                                  (z2, 1e-9, 1e-4)):
+        try:
+            jordan_basis(c, lam, tol=tol, cluster_tol=cluster_tol)
+        except IllConditioned as e:
+            assert cluster_tol == 1e-4, e
+            assert "kernel dimensions [] never reach algebraic multiplicity 2" in str(e)
+        assert len(c._staircase) == 1
+        keys.append(next(iter(c._staircase)))
+    mean = interior_spectrum(c, 1e-4).spectrum.eigenvalues[0].real
+    assert keys == [(z1.real, float, 1, 1e-8), (z2.real, float, 1, 1e-8),
+                    (z2.real, float, 1, 1e-9), (mean, float, 2, 1e-9)]
+
+
+def test_the_kept_staircase_is_read_only_and_frees_its_chain():
+    """Every array kept, the continuation state too, is read-only, the
+    Jordan basis hands out the kept rank evidence, frozen, and what the
+    chain keeps does not refer back to it: dropping the last reference
+    frees it without a cycle collection."""
+    c = _binary_section(4, np.random.default_rng(4))
+    global_polyharmonic_basis(c, 0.0, 2)
+    (kept,) = c._staircase.values()
+    state = list(kept.state)
+    jb = jordan_basis(c, 0.0)
+    assert kept.state is None and len(kept.new) == max(jb.chain_lengths) == 4
+    assert all(i is j for i, j in zip(jb.kernel_infos, kept.kernel_infos))
+    with pytest.raises(AttributeError):
+        jb.kernel_infos[0].rank = 0
+    for a in kept.new + [i.pivots for i in kept.kernel_infos] + state:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    global_polyharmonic_basis(c, 0.0, 1)[0][...] = 0  # a copy the caller owns
+    ref = weakref.ref(c)
+    gc.disable()
+    try:
+        del c, jb, kept, state
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("tol", [True, np.bool_(True), 0.0, -1e-8, np.inf, np.nan])
+def test_a_malformed_tol_is_refused(tol):
+    """Before this refusal, on a 7-interior tree section, ``tol=True``
+    (equal to 1.0) was refused as an ambiguous rank of B^1 and
+    ``tol=inf`` as chain tops that could not be separated."""
+    c = _binary_section(3, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        jordan_basis(c, 0.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        global_polyharmonic_basis(c, 0.0, 2, tol=tol)
+    assert c._staircase == {}
+
+
+@pytest.mark.parametrize("n", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2.0), "2", None])
+def test_an_order_that_is_not_an_integer_is_refused(n):
+    """``n=2.5`` used to end in a bare ``TypeError`` and ``n=True`` to be
+    answered as n = 1."""
+    c = _binary_section(3, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="order must be an integer"):
+        global_polyharmonic_basis(c, 0.0, n)
+    assert c._staircase == {}
+
+
+def test_an_integer_order_of_any_integer_type_is_accepted():
+    c = _binary_section(3, np.random.default_rng(3))
+    want = _answer(c, 0.0, 2)
+    assert _answer(c, 0.0, np.int64(2)) == want
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        global_polyharmonic_basis(c, 0.0, np.int32(0))
 
 
 def _grid_network(m, rng=None):
