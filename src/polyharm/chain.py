@@ -55,10 +55,10 @@ class Chain:
     :func:`polyharm.spectral.interior_spectrum`: it keeps the chain's
     latest interior spectrum, keyed by ``cluster_tol``, one entry at
     most and never a refused one.  ``_staircase`` is written only by
-    :func:`polyharm.spectral._staircase`: it keeps the nested kernels of
-    lam I - P_int found so far at the chain's latest eigenvalue, keyed by
-    the snapped eigenvalue and its type, its multiplicity and ``tol``, one
-    entry at most, read-only, and never a level whose rank was refused.
+    :func:`polyharm.spectral._kept_staircase`: it keeps the chain's
+    latest staircase of lam I - P_int, keyed by the snapped eigenvalue,
+    its multiplicity and ``tol``, one entry at most, read-only, and
+    never a refused one.
     ``_nth`` is written only by :func:`nth_layout`.  Nothing kept refers
     back to the chain.
 
@@ -91,7 +91,7 @@ class Chain:
     _green: dict = field(default_factory=dict, init=False, repr=False)
     # cluster_tol -> InteriorSpectrum of the latest interior_spectrum(); one entry at most
     _spectrum: dict = field(default_factory=dict, init=False, repr=False)
-    # (lam, type(lam), kappa, tol) -> spectral._Staircase, the nested kernels kept; one at most
+    # (lam, kappa, tol) -> (D_k, kernel infos, dims) of the latest staircase; one entry at most
     _staircase: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

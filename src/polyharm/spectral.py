@@ -9,8 +9,8 @@ deflation with explicit rank-gap reporting: genuinely ambiguous rank
 decisions raise instead of guessing.  The order-n global basis takes the
 first n levels as they are (an orthonormal basis of ker B^n); the Jordan
 chains take every level and pick the chain tops from them.  The chain
-keeps the levels found at its latest eigenvalue, as it keeps its LU, so
-both read the same levels and none is eliminated twice.
+keeps its latest staircase, as it keeps its LU, so a global basis after
+a Jordan basis at the same eigenvalue eliminates no level again.
 """
 
 from __future__ import annotations
@@ -135,24 +135,9 @@ def _snap(chain: Chain, lam: complex, cluster_tol: float) -> tuple[complex, int]
     return (nearest.real if nearest.imag == 0 else nearest), spec.alg_mult[i]
 
 
-@dataclass(eq=False)
-class _Staircase:
-    """The staircase levels a chain keeps at one eigenvalue: the new
-    directions D_k, their eliminations and dims, all read-only, with
-    max|B| and, until the search stops, the state to continue from:
-    (B_k, C_{<k}, ker B_k) of the last level kept."""
-
-    new: list
-    kernel_infos: list
-    dims: list
-    scale: float
-    state: tuple | None
-
-
-def _staircase(chain: Chain, lam0: complex, kappa: int, tol: float,
+def _staircase(b: np.ndarray, kappa: int, tol: float,
                levels: int) -> tuple[list[np.ndarray], list[EchelonInfo], list[int]]:
-    """The first ``levels`` nested kernels of B = lam0 I - P_int by
-    staircase deflation.
+    """The first ``levels`` nested kernels of ``b`` by staircase deflation.
 
     B_1 = B, and B_{k+1} = C^H B_k C for the orthonormal complement C of
     ker B_k, so N_k = N_{k-1} + D_k with D_k = C_{<k} ker B_k, C_{<k} the
@@ -164,51 +149,63 @@ def _staircase(chain: Chain, lam0: complex, kappa: int, tol: float,
     has a larger kernel) or once the dimension reaches the algebraic
     multiplicity ``kappa``.  A dimension past ``kappa``, or short of it
     with no level or direction left, raises :class:`IllConditioned`.
-
-    The chain keeps one staircase, keyed by ``lam0`` (with its type,
-    which sets the arithmetic), ``kappa`` and ``tol``: a call answers
-    from the levels kept and eliminates only the levels past them.  A
-    level whose rank is ambiguous raises and is never kept.
     """
-    key = (lam0, type(lam0), kappa, tol)
-    kept = chain._staircase.get(key)
-    if kept is None:
-        b = lam0 * np.eye(chain.p_int.shape[0]) - chain.p_int
-        kept = _Staircase([], [], [0], float(np.abs(b).max()),
-                          (b, np.eye(len(b), dtype=b.dtype), None))
-    new, kernel_infos, dims = kept.new, kept.kernel_infos, kept.dims
-    while len(new) < levels and kept.state is not None:
-        block, comp, kern = kept.state
-        if kern is not None:
-            c = np.linalg.qr(kern, mode="complete")[0][:, kern.shape[1]:]
-            comp, block = comp @ c, c.conj().T @ block @ c
-        k, scale_k = len(new) + 1, float(np.abs(block).max(initial=0.0))
-        basis, info = nullspace_info(block, tol * kept.scale / scale_k if scale_k > 0 else tol)
+    m = b.shape[0]
+    block, comp = b, np.eye(m, dtype=b.dtype)
+    new, kernel_infos, dims = [], [], [0]
+    scale_b = float(np.abs(b).max())
+    for k in range(1, levels + 1):
+        scale_k = float(np.abs(block).max(initial=0.0))
+        basis, info = nullspace_info(block, tol * scale_b / scale_k if scale_k > 0 else tol)
         if info.gap < GAP_FACTOR:
             raise IllConditioned(
                 f"rank of B^{k} ambiguous: retained pivot {info.smallest_kept:.3e} "
                 f"vs discarded {info.largest_dropped:.3e}"
             )
-        kept.state = None  # an empty kernel, or dim N_k reaching kappa, ends the search
-        if basis:
-            kern = np.array(basis, dtype=comp.dtype).T
-            new.append(comp @ kern)
-            kernel_infos.append(info)
-            dims.append(dims[-1] + len(basis))
-            for a in (new[-1], info.pivots, block, comp, kern):
-                a.flags.writeable = False
-            if dims[-1] < kappa:
-                kept.state = block, comp, kern
+        if not basis:
+            break
+        kernel_infos.append(info)
+        kern = np.array(basis, dtype=b.dtype).T
+        new.append(comp @ kern)
+        dims.append(dims[-1] + len(basis))
+        if dims[-1] >= kappa or k == levels:
+            break
+        c = np.linalg.qr(kern, mode="complete")[0][:, len(basis):]
+        comp, block = comp @ c, c.conj().T @ block @ c
+    # short of kappa is consistent only when the level cap cut the search
+    cut = len(new) == levels and dims[-1] < m
+    if dims[-1] > kappa or (dims[-1] < kappa and not cut):
+        raise IllConditioned(
+            f"kernel dimensions {dims[1:]} never reach algebraic multiplicity {kappa}"
+        )
+    return new, kernel_infos, dims
+
+
+def _kept_staircase(chain: Chain, lam0: complex, kappa: int, tol: float, levels: int,
+                    b: np.ndarray | None = None) -> tuple[list, list, list]:
+    """:func:`_staircase` of B = lam0 I - P_int (``b``, formed here if not
+    given), from the one staircase the chain keeps.
+
+    The key is ``(lam0, kappa, tol)``.  A kept run either reached
+    ``kappa``, and then has every level there is, or stopped at its level
+    cap; only a call that asks for more levels than the latter holds runs
+    the staircase again, from level 1, and replaces it.  The answer is
+    the first ``levels`` levels of the kept run, which are those a new
+    run would find.  A refused run is never kept.  The kept arrays are
+    read-only.
+    """
+    key = (lam0, kappa, tol)
+    kept = chain._staircase.get(key)
+    if kept is None or (len(kept[0]) < levels and kept[2][-1] < kappa):
+        if b is None:
+            b = lam0 * np.eye(chain.p_int.shape[0]) - chain.p_int
+        kept = _staircase(b, kappa, tol, levels)
+        for a in kept[0] + [info.pivots for info in kept[1]]:
+            a.flags.writeable = False
         chain._staircase.clear()
         chain._staircase[key] = kept
-    v = min(levels, len(new))
-    # short of kappa is consistent only when the level cap cut the search
-    cut = v == levels and dims[v] < chain.p_int.shape[0]
-    if dims[v] > kappa or (dims[v] < kappa and not cut):
-        raise IllConditioned(
-            f"kernel dimensions {dims[1:v + 1]} never reach algebraic multiplicity {kappa}"
-        )
-    return new[:v], kernel_infos[:v], dims[:v + 1]
+    new, kernel_infos, dims = kept
+    return new[:levels], kernel_infos[:levels], dims[:levels + 1]
 
 
 def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
@@ -231,12 +228,12 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     wants no new top they are pure rounding).  The output is
     deterministic given the pivot order, longest chains first.
 
-    The chain keeps the staircase of its latest eigenvalue, keyed by the
-    snapped ``lam``, its algebraic multiplicity and ``tol``: a later
-    call there, or a :func:`global_polyharmonic_basis` call, eliminates
-    no level again, and its ``kernel_infos`` are the kept ones, with
-    read-only pivots.  The chain tops and every check run on each call.
-    A refused rank decision is never kept.
+    The chain keeps its latest staircase, keyed by the snapped ``lam``,
+    its algebraic multiplicity and ``tol``: a later Jordan basis there,
+    or a :func:`global_polyharmonic_basis` of any order after this one,
+    eliminates no level again, and the ``kernel_infos`` are the kept
+    ones (frozen, with read-only pivots).  The chain tops and every check
+    run on each call, and a refused call keeps nothing.
 
     At an exactly real snapped eigenvalue B is real and all arithmetic is
     float64, otherwise complex128; the vectors returned are complex128
@@ -264,7 +261,7 @@ def jordan_basis(chain: Chain, lam: complex, tol: float = JORDAN_TOL,
     m = p_int.shape[0]
     b = lam0 * np.eye(m) - p_int
     dtype = b.dtype
-    new, kernel_infos, dims = _staircase(chain, lam0, kappa, tol, m)
+    new, kernel_infos, dims = _kept_staircase(chain, lam0, kappa, tol, m, b)
 
     # chain tops level by level, deepest first; column j of ``vecs`` is
     # chain j's member at the current level.  D_k is orthogonal to
@@ -327,9 +324,10 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
     the ``GAP_FACTOR`` refusal at every level used and the refusal of
     kernels that stop short of the algebraic multiplicity are those of
     :func:`jordan_basis`; the vectors are complex128.  The levels come
-    from the staircase the chain keeps (see :func:`jordan_basis`), so
-    only levels past the kept ones are eliminated, and the order-n
-    basis after a Jordan basis at the same eigenvalue eliminates none.
+    from the staircase the chain keeps (see :func:`jordan_basis`): after
+    a Jordan basis, or a global basis of order n or more, at the same
+    eigenvalue none is eliminated; otherwise the first min(n, m) levels
+    are run from level 1 and kept in place of the old ones.
 
     Each returned vector is verified to be annihilated by the n-th power
     of the operator within 1e-8 relative, on every call: one application
@@ -348,7 +346,7 @@ def global_polyharmonic_basis(chain: Chain, lam: complex, n: int,
     _check_tol(tol, "tol")
     lam0, kappa = _snap(chain, lam, cluster_tol)
     p_int = chain.p_int
-    new = _staircase(chain, lam0, kappa, tol, min(n, p_int.shape[0]))[0]
+    new = _kept_staircase(chain, lam0, kappa, tol, min(n, p_int.shape[0]))[0]
     v = chain.embed(np.hstack(new))
     res = np.abs(_delta_power(p_int, chain.q, lam0, v[chain.interior_rows],
                               v[chain.boundary_rows], n)).max(axis=0)

@@ -792,10 +792,10 @@ def test_global_basis_refuses_an_ambiguous_rank_at_a_level_it_uses(monkeypatch, 
 
 def test_global_basis_ignores_an_ambiguous_rank_below_order_n(monkeypatch):
     """A bad gap at level 3 refuses the Jordan chains, not the order-2
-    basis, which never eliminates B_3.  The refused level is never kept:
-    each Jordan basis eliminates B_3 alone, from the two levels kept,
-    and is refused again, while the order-2 basis still answers and
-    eliminates nothing."""
+    basis, which never eliminates B_3.  A refused run is never kept:
+    each Jordan basis runs the staircase from level 1 and is refused
+    again at B_3, while the order-2 basis still answers from the two
+    levels kept and eliminates nothing."""
     c = _lazy_forward_path(5)
     interior_spectrum(c)
     levels = _narrow_gap_at_level(monkeypatch, 3)
@@ -806,9 +806,9 @@ def test_global_basis_ignores_an_ambiguous_rank_below_order_n(monkeypatch):
         levels.clear()
         with pytest.raises(IllConditioned, match=r"rank of B\^3 ambiguous"):
             jordan_basis(c, 0.5)
-        assert levels == [3]
+        assert levels == [1, 2, 3]
         again = global_polyharmonic_basis(c, 0.5, 2)
-        assert levels == [3]
+        assert levels == [1, 2, 3]
         assert all(np.array_equal(u, v) for u, v in zip(again, first))
 
 
@@ -913,7 +913,8 @@ def test_a_refused_level_is_never_kept(monkeypatch):
 def test_a_new_eigenvalue_tol_or_cluster_tol_replaces_the_kept_staircase():
     """One entry at most: each call below has a new key, the last one
     because a coarser ``cluster_tol`` merges the two eigenvalues into
-    one of multiplicity 2 (refused: B at their mean has no kernel)."""
+    one of multiplicity 2.  That call is refused (B at their mean has no
+    kernel), so it keeps nothing and the entry before it stays."""
     c = _near_pair_chain(1e-5)
     z1, z2 = interior_spectrum(c, 1e-6).spectrum.eigenvalues
     keys = []
@@ -926,33 +927,60 @@ def test_a_new_eigenvalue_tol_or_cluster_tol_replaces_the_kept_staircase():
             assert "kernel dimensions [] never reach algebraic multiplicity 2" in str(e)
         assert len(c._staircase) == 1
         keys.append(next(iter(c._staircase)))
-    mean = interior_spectrum(c, 1e-4).spectrum.eigenvalues[0].real
-    assert keys == [(z1.real, float, 1, 1e-8), (z2.real, float, 1, 1e-8),
-                    (z2.real, float, 1, 1e-9), (mean, float, 2, 1e-9)]
+    assert keys == [(z1.real, 1, 1e-8), (z2.real, 1, 1e-8), (z2.real, 1, 1e-9),
+                    (z2.real, 1, 1e-9)]
+
+
+def test_which_calls_run_the_staircase_again(monkeypatch):
+    """On a 4-level tree section: a global basis answers every order up
+    to its own from the levels it kept; a deeper call runs the staircase
+    again from level 1.  After the Jordan basis, which reaches the
+    multiplicity, no call at that eigenvalue eliminates a level."""
+    c = _binary_section(4, np.random.default_rng(4))
+    interior_spectrum(c)
+    levels = []
+    real = spectral.nullspace_info
+
+    def counting(a, tol):
+        levels.append(len(a))
+        return real(a, tol)
+
+    monkeypatch.setattr(spectral, "nullspace_info", counting)
+    ran = []
+    for call in (lambda: global_polyharmonic_basis(c, 0.0, 2),
+                 lambda: global_polyharmonic_basis(c, 0.0, 1),
+                 lambda: global_polyharmonic_basis(c, 0.0, 3),
+                 lambda: jordan_basis(c, 0.0),
+                 lambda: global_polyharmonic_basis(c, 0.0, 8),
+                 lambda: global_polyharmonic_basis(c, 0.0, 2),
+                 lambda: jordan_basis(c, 0.0)):
+        levels.clear()
+        call()
+        ran.append(len(levels))
+    assert ran == [2, 0, 3, 4, 0, 0, 0]
 
 
 def test_the_kept_staircase_is_read_only_and_frees_its_chain():
-    """Every array kept, the continuation state too, is read-only, the
-    Jordan basis hands out the kept rank evidence, frozen, and what the
-    chain keeps does not refer back to it: dropping the last reference
-    frees it without a cycle collection."""
+    """Every array kept is read-only, the Jordan basis hands out the kept
+    rank evidence, frozen, and what the chain keeps does not refer back
+    to it: dropping the last reference frees it without a cycle
+    collection."""
     c = _binary_section(4, np.random.default_rng(4))
-    global_polyharmonic_basis(c, 0.0, 2)
-    (kept,) = c._staircase.values()
-    state = list(kept.state)
     jb = jordan_basis(c, 0.0)
-    assert kept.state is None and len(kept.new) == max(jb.chain_lengths) == 4
-    assert all(i is j for i, j in zip(jb.kernel_infos, kept.kernel_infos))
+    (kept,) = c._staircase.values()
+    new, infos, dims = kept
+    assert len(new) == max(jb.chain_lengths) == 4 and dims[-1] == jb.alg_mult
+    assert all(i is j for i, j in zip(jb.kernel_infos, infos))
     with pytest.raises(AttributeError):
         jb.kernel_infos[0].rank = 0
-    for a in kept.new + [i.pivots for i in kept.kernel_infos] + state:
+    for a in new + [i.pivots for i in infos]:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     global_polyharmonic_basis(c, 0.0, 1)[0][...] = 0  # a copy the caller owns
     ref = weakref.ref(c)
     gc.disable()
     try:
-        del c, jb, kept, state
+        del c, jb, kept, new, infos
         assert ref() is None
     finally:
         gc.enable()
